@@ -7,10 +7,13 @@ from .svdcalc import (
     PerturbationSeries,
     ReducedResolvent,
     fd_gradient_oracle,
+    fd_hessian_oracle,
     jordan_wielandt,
     reduced_resolvent,
     sv_expansion_coeff,
     sv_hessian,
+    sv_hessian_apply,
+    sv_hessian_contract,
     sv_jacobian,
 )
 from .specest import (

@@ -14,6 +14,7 @@ Exit codes: 2 parse/validation, 3 graph structure, 4 degenerate spectrum,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .errors import (
     UnknownActivation,
     ZeroSingular,
 )
-from .matcore import DenseMatrix, full_svd, load_matrix_csv, save_matrix_csv
+from .matcore import DenseMatrix, full_svd, load_matrix_csv, matrix_csv_lines
 
 EXIT_PARSE = 2
 EXIT_GRAPH = 3
@@ -177,38 +178,27 @@ def cmd_bound(args):
 
 def cmd_svd_deriv(args):
     mat = load_matrix_csv(args.matrix)
-    svd = full_svd(mat)
     if args.order == 1:
-        result = svdcalc.sv_jacobian(svd, args.k)
+        result = svdcalc.sv_jacobian(full_svd(mat), args.k)
+        oracle = svdcalc.fd_gradient_oracle
     else:
-        result = svdcalc.sv_hessian(svd, args.k)
-    for i in range(result.rows):
-        print(",".join(_fmt(x) for x in result.array[i, :]))
+        svdcalc.check_hessian_budget(mat.rows, mat.cols)
+        result = svdcalc.sv_hessian(full_svd(mat), args.k)
+        oracle = svdcalc.fd_hessian_oracle
+    dev = None
     if args.check_fd:
-        if args.order == 1:
-            fd = svdcalc.fd_gradient_oracle(mat, args.k, step=args.step)
-            dev = float(np.max(np.abs(result.array - fd.array)))
-        else:
-            dev = _hessian_fd_deviation(mat, args.k, result, step=args.step)
+        diff = result.array - oracle(mat, args.k, step=args.step).array
+        dev = np.max(np.abs(diff, out=diff))
+    # checked before anything is written, so a failed check leaves no --out
+    # file; each row is formatted once for both stdout and --out
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        for line in matrix_csv_lines(result):
+            print(line, end="")
+            if fh is not None:
+                fh.write(line)
+    if dev is not None:
         print(f"max_abs_deviation = {_fmt(dev)}")
-    if args.out:
-        save_matrix_csv(args.out, result)
     return 0
-
-
-def _hessian_fd_deviation(mat, k, hess, step):
-    m, n = mat.shape
-    base = np.array(mat.array)
-    fd = np.empty((m * n, m * n))
-    for col in range(m * n):
-        i, j = col % m, col // m
-        bumped = base.copy()
-        bumped[i, j] += step
-        up = svdcalc.sv_jacobian(full_svd(DenseMatrix(bumped)), k).array
-        bumped[i, j] -= 2 * step
-        down = svdcalc.sv_jacobian(full_svd(DenseMatrix(bumped)), k).array
-        fd[:, col] = ((up - down) / (2 * step)).ravel(order="F")
-    return float(np.max(np.abs(hess.array - fd)))
 
 
 def cmd_activation(args):

@@ -10,14 +10,24 @@ decomposition on synthetic matrix ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
 from .errors import NotPSD
 from .matcore import DenseMatrix, SvdTriple, full_svd, vec
-from .svdcalc import _check_index, _check_simple, sv_hessian, sv_jacobian
+from .svdcalc import (
+    _check_index,
+    _check_simple,
+    sv_hessian_apply,
+    sv_hessian_contract,
+    sv_jacobian,
+)
+
+# steps of Gaussian noise drawn per call in euler_maruyama; sequential
+# Philox draws reproduce one large draw bit for bit
+NOISE_CHUNK_STEPS = 256
 
 
 def _psd_sqrt(cov: np.ndarray, floor: float = -1e-10) -> np.ndarray:
@@ -30,6 +40,14 @@ def _psd_sqrt(cov: np.ndarray, floor: float = -1e-10) -> np.ndarray:
         raise NotPSD(f"covariance has eigenvalue {vals.min():.3e} below {floor}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def _top_simple_svd(theta: DenseMatrix) -> SvdTriple:
+    """SVD of theta, checked for a simple, nonzero sigma_1."""
+    svd = full_svd(theta)
+    _check_index(svd, 1)
+    _check_simple(svd, 1)
+    return svd
 
 
 @dataclass(frozen=True)
@@ -55,14 +73,20 @@ class LayerDynamicsState:
         if noise_cov.shape != (d, d):
             raise ValueError(f"noise_cov must be {d}x{d}, got {noise_cov.shape}")
         sqrt_cov = _psd_sqrt(noise_cov.array)
-        svd = full_svd(theta)
-        _check_index(svd, 1)
-        _check_simple(svd, 1)
+        svd = _top_simple_svd(theta)
         grad = grad.copy()
         grad.flags.writeable = False
         return cls(
             theta=theta, grad=grad, noise_cov=noise_cov, eta=eta, svd=svd, sqrt_cov=sqrt_cov
         )
+
+    def with_theta(self, theta: DenseMatrix) -> "LayerDynamicsState":
+        """The same gradient, covariance and learning rate at another matrix
+        of the same shape. Reuses the covariance square root; the new SVD
+        gets the same checks as in :meth:`create`."""
+        if theta.shape != self.theta.shape:
+            raise ValueError(f"theta shape {theta.shape} != {self.theta.shape}")
+        return replace(self, theta=theta, svd=_top_simple_svd(theta))
 
     @property
     def sigma1(self) -> float:
@@ -114,8 +138,7 @@ def driving_forces(state: LayerDynamicsState) -> DrivingForces:
     j = opnorm_jacobian(state)
     s1 = state.sigma1
     mu = float(j @ (-state.grad)) / s1
-    h = sv_hessian(state.svd, 1).array
-    kappa = state.eta / (2.0 * s1) * float(np.sum(h * state.noise_cov.array))
+    kappa = state.eta / (2.0 * s1) * sv_hessian_contract(state.svd, 1, state.noise_cov.array)
     lam = (math.sqrt(state.eta) / s1) * (state.sqrt_cov.T @ j)
     return DrivingForces(mu=mu, kappa=kappa, lam=lam)
 
@@ -164,22 +187,26 @@ def euler_maruyama(
     m, n = state.theta.shape
     d = m * n
     rng = _stream(seed)
-    noise = rng.standard_normal((steps, d))
     scale = math.sqrt(state.eta * dt)
-    theta0 = vec(state.theta).copy()
-    if drift_fn is None:
-        traj = _kernels.em_path(
-            theta0, np.asarray(state.grad), state.sqrt_cov, dt, scale, noise
-        )
-    else:
-        traj = np.empty((steps + 1, d))
-        traj[0] = theta0
-        x = theta0.copy()
-        for t in range(steps):
-            g = np.asarray(drift_fn(DenseMatrix.from_flat(m, n, x)), dtype=np.float64)
-            x = x - g.reshape(-1) * dt + scale * (state.sqrt_cov @ noise[t])
-            traj[t + 1] = x
-    return [DenseMatrix.from_flat(m, n, traj[t]) for t in stored_steps(steps, store_every)]
+    drift = np.asarray(state.grad)
+    keep = stored_steps(steps, store_every)
+    x = vec(state.theta).copy()
+    kept = [x]
+    for start in range(0, steps, NOISE_CHUNK_STEPS):
+        noise = rng.standard_normal((min(NOISE_CHUNK_STEPS, steps - start), d))
+        if drift_fn is None:
+            path = _kernels.em_path(x, drift, state.sqrt_cov, dt, scale, noise)[1:]
+        else:
+            path = np.empty_like(noise)
+            for t in range(noise.shape[0]):
+                g = np.asarray(drift_fn(DenseMatrix.from_flat(m, n, x)), dtype=np.float64)
+                x = x - g.reshape(-1) * dt + scale * (state.sqrt_cov @ noise[t])
+                path[t] = x
+        stop = start + noise.shape[0]
+        # copies, so a kept row does not pin its whole chunk in memory
+        kept += [path[t - start - 1].copy() for t in keep[len(kept):] if t <= stop]
+        x = path[-1]
+    return [DenseMatrix.from_flat(m, n, row) for row in kept]
 
 
 def simulate_ensemble(
@@ -210,8 +237,8 @@ def log_lip_increment(state: LayerDynamicsState, d_theta: DenseMatrix) -> float:
         raise ValueError("d_theta shape mismatch")
     dv = vec(d_theta)
     j = opnorm_jacobian(state)
-    h = sv_hessian(state.svd, 1).array
-    return (float(j @ dv) + 0.5 * float(dv @ h @ dv)) / state.sigma1
+    hv = vec(sv_hessian_apply(state.svd, 1, d_theta))
+    return (float(j @ dv) + 0.5 * float(dv @ hv)) / state.sigma1
 
 
 def trajectory_stats(
@@ -226,9 +253,10 @@ def trajectory_stats(
             f"trajectory length {len(traj)} does not match steps={steps}, "
             f"store_every={store_every}"
         )
+    base = LayerDynamicsState.create(traj[0], grad, noise_cov, eta)
     rows = []
     for step, theta in zip(labels, traj):
-        st = LayerDynamicsState.create(theta, grad, noise_cov, eta)
+        st = base.with_theta(theta)
         f = driving_forces(st)
         rows.append(
             (

@@ -170,6 +170,13 @@ def _fix_signs(u_full, vt_full):
     return u_full, vt_full
 
 
+def _numerical_rank(s: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Number of singular values above rank_tol * sigma_1."""
+    if s.size and s[0] > 0:
+        return int(np.sum(s > rank_tol * s[0]))
+    return 0
+
+
 def full_svd(m: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdTriple:
     """Full SVD of a DenseMatrix.
 
@@ -182,10 +189,7 @@ def full_svd(m: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdTriple:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"SVD failed to converge on {m.rows}x{m.cols} input") from exc
     u, vt = _fix_signs(np.ascontiguousarray(u), np.ascontiguousarray(vt))
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > rank_tol * s[0]))
-    else:
-        rank = 0
+    rank = _numerical_rank(s, rank_tol)
     if s.size >= 2:
         diffs = np.abs(np.subtract.outer(s, s))
         min_gap = float(diffs[np.triu_indices(s.size, k=1)].min())
@@ -205,11 +209,17 @@ def full_svd(m: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdTriple:
 # matrix CSV format: one row per line, comma-separated decimals, no header
 # ---------------------------------------------------------------------------
 
+def matrix_csv_lines(m: DenseMatrix):
+    """The lines of the matrix in the CSV format, 17 significant digits,
+    each ending in a newline; one row is formatted at a time."""
+    line = ",".join(["%.17g"] * m.cols) + "\n"
+    for row in m.array:
+        yield line % tuple(row.tolist())
+
+
 def save_matrix_csv(path, m: DenseMatrix):
     with open(path, "w") as fh:
-        for i in range(m.rows):
-            fh.write(",".join(format(x, ".17g") for x in m.array[i, :]))
-            fh.write("\n")
+        fh.writelines(matrix_csv_lines(m))
 
 
 def load_matrix_csv(path) -> DenseMatrix:

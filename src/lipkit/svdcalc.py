@@ -15,23 +15,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, OrderOverflow, ZeroSingular
-from .matcore import DenseMatrix, SvdTriple, full_svd
+from .errors import DegenerateSpectrum, NonConvergence, OrderOverflow, ZeroSingular
+from .matcore import DenseMatrix, SvdTriple, _numerical_rank, full_svd
 
 GAP_TOL_REL = 1e-8
 MAX_EXPANSION_ORDER = 6
+# largest dense Hessian sv_hessian will build (256 MiB: mn <= 5792)
+MAX_HESSIAN_BYTES = 1 << 28
 
 
-def _gap_tol(svd: SvdTriple) -> float:
-    top = svd.singulars[0] if svd.singulars.size else 0.0
-    return GAP_TOL_REL * top
+def _require_index(k: int, rank: int):
+    if not 1 <= k <= rank:
+        raise ZeroSingular(
+            f"k={k} outside 1..rank={rank}; derivative has 1/sigma_k terms"
+        )
+
+
+def _require_gap(s: np.ndarray, k: int):
+    """sigma_k must sit more than GAP_TOL_REL * sigma_1 from every other
+    singular value in ``s`` (the full spectrum, zeros included)."""
+    tol = GAP_TOL_REL * (s[0] if s.size else 0.0)
+    others = np.delete(s, k - 1)
+    if others.size:
+        gap = float(np.min(np.abs(others - s[k - 1])))
+        if gap <= tol:
+            raise DegenerateSpectrum(
+                f"sigma_{k} within {gap:.3e} of a neighbor (tol {tol:.3e})", gap=gap
+            )
 
 
 def _check_index(svd: SvdTriple, k: int):
-    if not 1 <= k <= svd.rank:
-        raise ZeroSingular(
-            f"k={k} outside 1..rank={svd.rank}; derivative has 1/sigma_k terms"
-        )
+    _require_index(k, svd.rank)
 
 
 def _check_simple(svd: SvdTriple, k: int, require_all: bool = False):
@@ -42,15 +56,9 @@ def _check_simple(svd: SvdTriple, k: int, require_all: bool = False):
     otherwise only sigma_k's gaps matter.
     """
     s = svd.singulars
-    tol = _gap_tol(svd)
-    others = np.delete(s, k - 1)
-    if others.size:
-        gap = float(np.min(np.abs(others - s[k - 1])))
-        if gap <= tol:
-            raise DegenerateSpectrum(
-                f"sigma_{k} within {gap:.3e} of a neighbor (tol {tol:.3e})", gap=gap
-            )
+    _require_gap(s, k)
     if require_all and svd.rank >= 2:
+        tol = GAP_TOL_REL * s[0]
         nz = s[: svd.rank]
         pair_gap = float(np.min(np.abs(np.diff(nz))))
         if pair_gap <= tol:
@@ -67,42 +75,120 @@ def sv_jacobian(svd: SvdTriple, k: int) -> DenseMatrix:
     return DenseMatrix(np.outer(svd.u(k), svd.v(k)))
 
 
-def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
-    """Hessian of sigma_k in the column-major vec layout (mn x mn).
+def check_hessian_budget(rows: int, cols: int):
+    """Refuse a dense (rows*cols)^2 Hessian larger than MAX_HESSIAN_BYTES,
+    before anything of that size is allocated."""
+    nbytes = 8 * (rows * cols) ** 2
+    if nbytes > MAX_HESSIAN_BYTES:
+        raise ValueError(
+            f"dense Hessian of a {rows}x{cols} matrix needs {nbytes} bytes, "
+            f"over the {MAX_HESSIAN_BYTES}-byte limit"
+        )
 
-    Three-part assembly: a left sum over u_i directions (i <= m), a right
-    sum over v_j directions (j <= n), and a left-right interaction over the
-    nonzero spectrum; singular values beyond the rank count as zero, which
-    contributes the 1/sigma_k null-space terms.
+
+def _hessian_weights(svd: SvdTriple, k: int):
+    """Weights of the three-part Kronecker form of the Hessian of sigma_k.
+
+    With x_i = vec(u_i v_k^T) and y_j = vec(u_k v_j^T),
+
+        H = sum_i a_i x_i x_i^T + sum_j b_j y_j y_j^T
+            + sum_l c_l (x_l y_l^T + y_l x_l^T),
+
+    a_i = sigma_k / (sigma_k^2 - sigma_i^2) over i <= m, b_j likewise over
+    j <= n (singular values beyond the rank count as zero, which gives the
+    1/sigma_k null-space terms), and c_l = sigma_l / (sigma_k^2 - sigma_l^2)
+    over the nonzero spectrum l <= rank. The i = j = l = k weights are 0.
     """
     _check_index(svd, k)
     _check_simple(svd, k, require_all=True)
     m, n, r = svd.rows, svd.cols, svd.rank
-    s = svd.singulars
     sk = svd.sigma(k)
-    uk, vk = svd.u(k), svd.v(k)
+    s = np.zeros(max(m, n))
+    s[:r] = svd.singulars[:r]
+    den = sk**2 - s**2
+    den[k - 1] = 1.0
+    a = sk / den
+    a[k - 1] = 0.0
+    c = s[:r] / den[:r]
+    c[k - 1] = 0.0
+    return a[:m], a[:n], c
 
-    h = np.zeros((m * n, m * n))
-    for i in range(1, m + 1):
-        if i == k:
-            continue
-        si = s[i - 1] if i <= r else 0.0
-        x = np.kron(vk, svd.u(i))
-        h += (sk / (sk**2 - si**2)) * np.outer(x, x)
-    for j in range(1, n + 1):
-        if j == k:
-            continue
-        sj = s[j - 1] if j <= r else 0.0
-        y = np.kron(svd.v(j), uk)
-        h += (sk / (sk**2 - sj**2)) * np.outer(y, y)
-    for l in range(1, r + 1):
-        if l == k:
-            continue
-        sl = s[l - 1]
-        x = np.kron(vk, svd.u(l))
-        y = np.kron(svd.v(l), uk)
-        h += (sl / (sk**2 - sl**2)) * (np.outer(x, y) + np.outer(y, x))
-    return DenseMatrix(h)
+
+def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
+    """Hessian of sigma_k in the column-major vec layout (mn x mn).
+
+    Dense BLAS-3 assembly of the three-part form of :func:`_hessian_weights`:
+    with X = v_k (x) U and Y = V (x) u_k (columns x_i and y_j),
+
+        T = X diag(a/2) X^T + Y diag(b/2) Y^T + X_r diag(c) Y_r^T,
+        H = T + T^T,
+
+    which is exactly symmetric. Costs 8 (mn)^2 bytes; callers that need
+    <H, Sigma> or H vec(E) should use :func:`sv_hessian_contract` or
+    :func:`sv_hessian_apply`, which never build H.
+    """
+    check_hessian_budget(svd.rows, svd.cols)
+    a, b, c = _hessian_weights(svd, k)
+    r = c.size
+    u, v = svd.left.array, svd.right.array
+    x = np.kron(svd.v(k)[:, None], u)
+    y = np.kron(v, svd.u(k)[:, None])
+    t = (x * (0.5 * a)) @ x.T
+    t += (y * (0.5 * b)) @ y.T
+    t += (x[:, :r] * c) @ y[:, :r].T
+    h = np.empty_like(t, order="F")  # DenseMatrix keeps it without a copy
+    return DenseMatrix(np.add(t, t.T, out=h))
+
+
+def sv_hessian_contract(svd: SvdTriple, k: int, sigma: np.ndarray) -> float:
+    """<H, Sigma> for the Hessian H of sigma_k and an mn x mn matrix Sigma,
+    without forming H.
+
+    The symmetrised Sigma, viewed as S[j, i, j', i'] (vec index i + j*m),
+    is contracted with v_k into an m x m matrix, with u_k into an n x n
+    matrix and with both into an m x n cross matrix; the weighted diagonals
+    of U^T M U, V^T M V and U^T M V then give the three parts. O((mn)^2).
+    """
+    a, b, c = _hessian_weights(svd, k)
+    m, n, r = svd.rows, svd.cols, c.size
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.shape != (m * n, m * n):
+        raise ValueError(f"Sigma must be {m * n}x{m * n}, got {sigma.shape}")
+    s4 = (0.5 * (sigma + sigma.T)).reshape(n, m, n, m)
+    u, v = svd.left.array, svd.right.array
+    uk, vk = svd.u(k), svd.v(k)
+    s_v = np.tensordot(vk, s4, axes=(0, 0))  # [i, j', i']
+    left = np.tensordot(s_v, vk, axes=(1, 0))  # m x m
+    cross = np.tensordot(s_v, uk, axes=(2, 0))  # m x n
+    right = np.tensordot(np.tensordot(uk, s4, axes=(0, 1)), uk, axes=(2, 0))  # n x n
+    total = a @ np.sum(u * (left @ u), axis=0)
+    total += b @ np.sum(v * (right @ v), axis=0)
+    total += 2.0 * (c @ np.sum(u[:, :r] * (cross @ v[:, :r]), axis=0))
+    return float(total)
+
+
+def sv_hessian_apply(svd: SvdTriple, k: int, e: DenseMatrix) -> DenseMatrix:
+    """The Hessian-vector product H vec(E), returned as an m x n matrix,
+    without forming H. O(mn + m^2 + n^2).
+
+    With alpha = U^T E v_k (the x_i components of vec(E)) and
+    beta = V^T E^T u_k (the y_j components), the product is
+    U p v_k^T + u_k (V q)^T for p = a*alpha + c*beta and q = b*beta + c*alpha.
+    """
+    a, b, c = _hessian_weights(svd, k)
+    r = c.size
+    if e.shape != (svd.rows, svd.cols):
+        raise ValueError(f"E must be {svd.rows}x{svd.cols}, got {e.shape}")
+    e = e.array
+    u, v = svd.left.array, svd.right.array
+    uk, vk = svd.u(k), svd.v(k)
+    alpha = u.T @ (e @ vk)
+    beta = v.T @ (e.T @ uk)
+    p = a * alpha
+    p[:r] += c * beta[:r]
+    q = b * beta
+    q[:r] += c * alpha[:r]
+    return DenseMatrix(np.outer(u @ p, vk) + np.outer(uk, v @ q))
 
 
 @dataclass(frozen=True)
@@ -307,4 +393,42 @@ def fd_gradient_oracle(a: DenseMatrix, k: int, step: float = 1e-6) -> DenseMatri
         bumped[i, j] -= 2 * step
         down = np.linalg.svd(bumped, compute_uv=False)[k - 1]
         out[i, j] = (up - down) / (2 * step)
+    return DenseMatrix(out)
+
+
+def fd_hessian_oracle(a: DenseMatrix, k: int, step: float = 1e-5) -> DenseMatrix:
+    """Central differences of the Jacobian u_k v_k^T, column by column in
+    the column-major vec layout (mn x mn).
+
+    Independent of the closed-form Hessian: every one of the 2mn bumped
+    matrices gets its own SVD. They are taken as stacked SVDs of the m
+    bumps of one column of A at a time, which bounds the working memory
+    to O(m (mn + m^2 + n^2)) beside the result. Each bumped spectrum must
+    pass the Jacobian's own checks: ZeroSingular when k exceeds its rank,
+    DegenerateSpectrum when sigma_k is within GAP_TOL_REL * sigma_1 of
+    another singular value.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    m, n = a.shape
+    out = np.empty((m * n, m * n), order="F")
+    rows = np.arange(m)
+    for j in range(n):
+        up = np.repeat(a.array[None], m, axis=0)
+        up[rows, rows, j] += step
+        down = up.copy()
+        down[rows, rows, j] -= 2 * step
+        try:
+            (u_up, s_up, vt_up), (u_dn, s_dn, vt_dn) = np.linalg.svd(up), np.linalg.svd(down)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"SVD failed to converge on a bumped {m}x{n} input") from exc
+        for i in rows:
+            for s in (s_up[i], s_dn[i]):
+                _require_index(k, _numerical_rank(s))
+                _require_gap(s, k)
+        j_up = u_up[:, :, k - 1, None] * vt_up[:, None, k - 1, :]
+        j_dn = u_dn[:, :, k - 1, None] * vt_dn[:, None, k - 1, :]
+        diff = (j_up - j_dn) / (2 * step)
+        # bump i of this column is vec column i + j*m; vec(J) reads J column-major
+        out[:, j * m : (j + 1) * m] = diff.transpose(2, 1, 0).reshape(m * n, m)
     return DenseMatrix(out)

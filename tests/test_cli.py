@@ -134,6 +134,53 @@ class TestSvdDeriv:
         dev = float(out.splitlines()[-1].split("=")[1])
         assert dev <= 1e-6
 
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_stdout_rows_equal_out_file(self, capsys, tmp_path, order):
+        rng = np.random.default_rng(3)
+        mat_path = tmp_path / "m.csv"
+        save_matrix_csv(mat_path, DenseMatrix(rng.standard_normal((3, 4))))
+        out_path = tmp_path / "d.csv"
+        code, out, _ = run(
+            capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", order,
+            "--check-fd", "--out", str(out_path),
+        )
+        assert code == 0
+        rows, dev_line = out.rsplit("\n", 2)[:2]
+        assert dev_line.startswith("max_abs_deviation = ")
+        assert (rows + "\n").encode() == out_path.read_bytes()
+        assert len(rows.splitlines()) == (3 if order == "1" else 12)
+
+    def test_oversized_hessian_refused_before_allocation(self, capsys, tmp_path, monkeypatch):
+        from lipkit import cli, svdcalc
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated for an oversized Hessian")
+
+        monkeypatch.setattr(cli, "full_svd", forbidden)
+        monkeypatch.setattr(svdcalc, "sv_hessian", forbidden)
+        side = int(np.sqrt(np.sqrt(svdcalc.MAX_HESSIAN_BYTES / 8))) + 1
+        mat_path = tmp_path / "big.csv"
+        save_matrix_csv(mat_path, DenseMatrix(np.ones((side, side))))
+        code, out, err = run(
+            capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "byte limit" in err
+
+    def test_bumped_crossing_exits_four_without_output(self, capsys, tmp_path):
+        mat_path = tmp_path / "close.csv"
+        save_matrix_csv(mat_path, DenseMatrix(np.diag([1.0 + 1e-5, 1.0])))
+        out_path = tmp_path / "h.csv"
+        code, out, err = run(
+            capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", "2",
+            "--check-fd", "--step", "1e-5", "--out", str(out_path),
+        )
+        assert code == 4
+        assert "gap" in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_degenerate_exits_four_with_gap(self, capsys, tmp_path):
         mat_path = tmp_path / "eye.csv"
         save_matrix_csv(mat_path, DenseMatrix(np.eye(3)))

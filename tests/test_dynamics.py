@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lipkit import _kernels, dynamics
 from lipkit.dynamics import (
     LayerDynamicsState,
     NetworkDynamics,
@@ -16,7 +17,7 @@ from lipkit.dynamics import (
 )
 from lipkit.errors import DegenerateSpectrum, NotPSD
 from lipkit.matcore import DenseMatrix, vec
-from lipkit.svdcalc import fd_gradient_oracle
+from lipkit.svdcalc import fd_gradient_oracle, sv_hessian
 
 from conftest import random_matrix_with_spectrum
 
@@ -117,6 +118,14 @@ class TestDrivingForces:
         s2 = LayerDynamicsState.create(state0.theta, g + 3.0 * perp, state0.noise_cov, state0.eta)
         assert driving_forces(s1).mu == pytest.approx(driving_forces(s2).mu, abs=1e-12)
 
+    def test_kappa_matches_dense_hessian(self, rng):
+        state0 = make_state(rng)
+        cov = random_psd(rng, 20)
+        state = LayerDynamicsState.create(state0.theta, state0.grad, cov, state0.eta)
+        h = sv_hessian(state.svd, 1).array
+        expect = state.eta / (2.0 * state.sigma1) * float(np.sum(h * cov.array))
+        assert driving_forces(state).kappa == pytest.approx(expect, rel=1e-12)
+
     def test_kappa_nonnegative_random_psd(self, rng):
         state0 = make_state(rng)
         for _ in range(50):
@@ -198,6 +207,26 @@ class TestEulerMaruyama:
         b = euler_maruyama(state, dt=0.01, steps=15, seed=9)
         assert all(x == y for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("chunk", [4, dynamics.NOISE_CHUNK_STEPS])
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_chunked_noise_matches_one_shot_draw(self, rng, monkeypatch, chunk, store_every):
+        g = rng.standard_normal(20)
+        state = make_state(rng, grad=g, eta=1e-3, cov=random_psd(rng, 20))
+        monkeypatch.setattr(dynamics, "NOISE_CHUNK_STEPS", chunk)
+        steps, dt, seed = 2 * chunk + 3, 0.01, 5
+        noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal((steps, 20))
+        one_shot = _kernels.em_path(
+            vec(state.theta).copy(), g, state.sqrt_cov, dt, math.sqrt(state.eta * dt), noise
+        )
+        keep = dynamics.stored_steps(steps, store_every)
+        for drift_fn in (None, lambda theta: g):
+            traj = euler_maruyama(
+                state, dt, steps, seed=seed, drift_fn=drift_fn, store_every=store_every
+            )
+            assert len(traj) == len(keep)
+            for t, theta in zip(keep, traj):
+                np.testing.assert_array_equal(vec(theta), one_shot[t])
+
     def test_validation(self, rng):
         state = make_state(rng)
         with pytest.raises(ValueError):
@@ -233,6 +262,14 @@ class TestLogLipIncrement:
         state = make_state(rng)
         with pytest.raises(ValueError):
             log_lip_increment(state, DenseMatrix(np.zeros((5, 4))))
+
+    def test_matches_dense_quadratic_form(self, rng):
+        state = make_state(rng)
+        d_theta = rng.standard_normal((4, 5))
+        dv = vec(DenseMatrix(d_theta))
+        h = sv_hessian(state.svd, 1).array
+        expect = (float(opnorm_jacobian(state) @ dv) + 0.5 * float(dv @ h @ dv)) / state.sigma1
+        assert log_lip_increment(state, DenseMatrix(d_theta)) == pytest.approx(expect, rel=1e-12)
 
 
 class TestEnsemble:
@@ -287,3 +324,41 @@ class TestTrajectoryStats:
         traj = euler_maruyama(state, dt=0.01, steps=4, seed=2)
         with pytest.raises(ValueError):
             trajectory_stats(traj, 9, state.grad, state.noise_cov, state.eta)
+
+    def test_one_covariance_root_per_call(self, rng, monkeypatch):
+        state = make_state(rng, eta=1e-4, cov=random_psd(rng, 20))
+        traj = euler_maruyama(state, dt=0.01, steps=6, seed=2)
+        calls = []
+        psd_sqrt = dynamics._psd_sqrt
+
+        def counting(cov, *args, **kwargs):
+            calls.append(cov.shape)
+            return psd_sqrt(cov, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_psd_sqrt", counting)
+        rows = trajectory_stats(traj, 6, state.grad, state.noise_cov, state.eta)
+        assert len(rows) == 7
+        assert calls == [(20, 20)]
+
+    def test_rows_equal_per_row_states(self, rng):
+        state = make_state(rng, eta=1e-4, cov=random_psd(rng, 20), grad=rng.standard_normal(20))
+        traj = euler_maruyama(state, dt=0.01, steps=5, seed=4)
+        rows = trajectory_stats(traj, 5, state.grad, state.noise_cov, state.eta)
+        for row, theta in zip(rows, traj):
+            st = LayerDynamicsState.create(theta, state.grad, state.noise_cov, state.eta)
+            f = driving_forces(st)
+            assert row[1:] == (
+                st.sigma1, math.log(st.sigma1), f.mu, f.kappa, float(np.linalg.norm(f.lam))
+            )
+
+    def test_degenerate_row_rejected(self, rng):
+        state = make_state(rng, eta=1e-4)
+        traj = [state.theta, DenseMatrix(np.eye(4, 5))]
+        with pytest.raises(DegenerateSpectrum):
+            trajectory_stats(traj, 1, state.grad, state.noise_cov, state.eta)
+
+    def test_row_shape_checked(self, rng):
+        state = make_state(rng, eta=1e-4)
+        traj = [state.theta, DenseMatrix(np.ones((5, 4)))]
+        with pytest.raises(ValueError):
+            trajectory_stats(traj, 1, state.grad, state.noise_cov, state.eta)

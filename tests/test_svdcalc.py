@@ -4,21 +4,27 @@ import pytest
 from lipkit.errors import DegenerateSpectrum, OrderOverflow, ZeroSingular
 from lipkit.matcore import DenseMatrix, full_svd, vec
 from lipkit.svdcalc import (
+    MAX_HESSIAN_BYTES,
     PerturbationSeries,
+    check_hessian_budget,
     fd_gradient_oracle,
+    fd_hessian_oracle,
     jordan_wielandt,
     reduced_resolvent,
     sv_expansion_coeff,
     sv_hessian,
+    sv_hessian_apply,
+    sv_hessian_contract,
     sv_jacobian,
 )
 
 from conftest import random_matrix_with_spectrum
 
 
-def fd_hessian_oracle(a: DenseMatrix, k: int, step: float = 1e-5) -> np.ndarray:
+def fd_hessian_loop(a: DenseMatrix, k: int, step: float = 1e-5) -> np.ndarray:
     """Central differences of the closed-form Jacobian, column by column in
-    the column-major vec layout. Independent of sv_hessian."""
+    the column-major vec layout, one full_svd per bumped matrix. Independent
+    of sv_hessian; the reference for the batched fd_hessian_oracle."""
     m, n = a.shape
     base = np.array(a.array)
     out = np.empty((m * n, m * n))
@@ -84,7 +90,7 @@ class TestHessian:
         svd = full_svd(a)
         for k in range(1, svd.rank + 1):
             h = sv_hessian(svd, k).array
-            fd = fd_hessian_oracle(a, k)
+            fd = fd_hessian_loop(a, k)
             assert np.abs(h - fd).max() <= 1e-6
 
     def test_exactly_symmetric(self, rng):
@@ -105,6 +111,148 @@ class TestHessian:
         a = random_matrix_with_spectrum(rng, 3, 3, [2.0, 2.0 + 1e-12, 1.0])
         with pytest.raises(DegenerateSpectrum):
             sv_hessian(full_svd(DenseMatrix(a)), 3)
+
+
+def hessian_outer_sum(svd, k: int) -> np.ndarray:
+    """The three-part Hessian summed term by term from np.outer/np.kron;
+    the reference for the BLAS-3 assembly and the matrix-free forms."""
+    m, n, r = svd.rows, svd.cols, svd.rank
+    s = svd.singulars
+    sk = svd.sigma(k)
+    uk, vk = svd.u(k), svd.v(k)
+    h = np.zeros((m * n, m * n))
+    for i in range(1, m + 1):
+        if i != k:
+            si = s[i - 1] if i <= r else 0.0
+            x = np.kron(vk, svd.u(i))
+            h += (sk / (sk**2 - si**2)) * np.outer(x, x)
+    for j in range(1, n + 1):
+        if j != k:
+            sj = s[j - 1] if j <= r else 0.0
+            y = np.kron(svd.v(j), uk)
+            h += (sk / (sk**2 - sj**2)) * np.outer(y, y)
+    for l in range(1, r + 1):
+        if l != k:
+            sl = s[l - 1]
+            x = np.kron(vk, svd.u(l))
+            y = np.kron(svd.v(l), uk)
+            h += (sl / (sk**2 - sl**2)) * (np.outer(x, y) + np.outer(y, x))
+    return h
+
+
+# (shape, spectrum): m < n, m > n, and rank-deficient inputs with zero
+# singular values, square and rectangular
+CONTRACTION_CASES = [
+    ((3, 5), [2.5, 1.4, 0.6]),
+    ((5, 3), [2.5, 1.4, 0.6]),
+    ((4, 4), [3.0, 2.0, 1.0, 0.0]),
+    ((3, 5), [2.0, 0.9, 0.0]),
+    ((5, 4), [3.0, 1.5, 0.0, 0.0]),
+]
+
+
+@pytest.fixture(params=CONTRACTION_CASES, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1]}")
+def contraction_case(request, rng):
+    (m, n), sigmas = request.param
+    return full_svd(DenseMatrix(random_matrix_with_spectrum(rng, m, n, sigmas)))
+
+
+class TestMatrixFreeHessian:
+    def test_rank_deficient_cases_are_rank_deficient(self, contraction_case):
+        svd = contraction_case
+        assert svd.rank == int(np.count_nonzero(np.asarray(svd.singulars) > 1e-8))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dense_matches_outer_sum_and_is_symmetric(self, contraction_case, k):
+        h = sv_hessian(contraction_case, k).array
+        ref = hessian_outer_sum(contraction_case, k)
+        assert np.array_equal(h, h.T)
+        assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_contract_equals_dense_inner_product(self, contraction_case, rng, k):
+        svd = contraction_case
+        d = svd.rows * svd.cols
+        b = rng.standard_normal((d, d))
+        for sigma in (b @ b.T / d, b):  # PSD, and not even symmetric
+            expect = float(np.sum(sv_hessian(svd, k).array * sigma))
+            got = sv_hessian_contract(svd, k, sigma)
+            assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_apply_equals_dense_product(self, contraction_case, rng, k):
+        svd = contraction_case
+        h = sv_hessian(svd, k).array
+        for _ in range(3):
+            e = rng.standard_normal((svd.rows, svd.cols))
+            got = sv_hessian_apply(svd, k, DenseMatrix(e))
+            assert got.shape == e.shape
+            expect = h @ e.ravel(order="F")
+            np.testing.assert_allclose(vec(got), expect, rtol=0, atol=1e-13 * np.abs(expect).max())
+
+    def test_zero_sigma_contracts_to_zero(self, contraction_case):
+        d = contraction_case.rows * contraction_case.cols
+        assert sv_hessian_contract(contraction_case, 1, np.zeros((d, d))) == 0.0
+
+    def test_shape_checks(self, contraction_case):
+        svd = contraction_case
+        d = svd.rows * svd.cols
+        with pytest.raises(ValueError):
+            sv_hessian_contract(svd, 1, np.eye(d + 1))
+        with pytest.raises(ValueError):
+            sv_hessian_apply(svd, 1, DenseMatrix(np.zeros((svd.cols + 1, svd.rows))))
+
+    def test_same_spectrum_checks_as_dense(self, rng):
+        a = random_matrix_with_spectrum(rng, 3, 3, [2.0, 1.0, 1.0 + 1e-12])
+        svd = full_svd(DenseMatrix(a))
+        for fn in (lambda: sv_hessian_contract(svd, 1, np.eye(9)),
+                   lambda: sv_hessian_apply(svd, 1, DenseMatrix(np.eye(3)))):
+            with pytest.raises(DegenerateSpectrum):
+                fn()
+        with pytest.raises(ZeroSingular):
+            sv_hessian_apply(full_svd(DenseMatrix(np.diag([2.0, 0.0]))), 2, DenseMatrix(np.eye(2)))
+
+
+class TestHessianBudget:
+    def test_limit(self):
+        side = int(np.sqrt(np.sqrt(MAX_HESSIAN_BYTES / 8)))
+        check_hessian_budget(side, side)
+        with pytest.raises(ValueError, match="byte limit"):
+            check_hessian_budget(side + 1, side + 1)
+        with pytest.raises(ValueError):
+            check_hessian_budget(1, 6000)
+
+
+class TestFdHessianOracle:
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_equals_per_column_loop(self, rng, shape):
+        a = DenseMatrix(rng.standard_normal(shape))
+        for k in (1, 2, 3):
+            fd = fd_hessian_oracle(a, k)
+            assert fd.shape == (12, 12)
+            np.testing.assert_array_equal(fd.array, fd_hessian_loop(a, k))
+
+    def test_bumped_crossing_raises(self):
+        # sigma = 1 + 1e-5 and 1 are well apart, but bumping either diagonal
+        # entry by the step makes them cross
+        step = 1e-5
+        a = DenseMatrix(np.diag([1.0 + step, 1.0]))
+        sv_hessian(full_svd(a), 1)
+        with pytest.raises(DegenerateSpectrum):
+            fd_hessian_loop(a, 1, step)
+        with pytest.raises(DegenerateSpectrum):
+            fd_hessian_oracle(a, 1, step)
+
+    def test_bumped_rank_below_k_raises(self):
+        a = DenseMatrix(np.diag([1.0, 0.0]))
+        with pytest.raises(ZeroSingular):
+            fd_hessian_loop(a, 2)
+        with pytest.raises(ZeroSingular):
+            fd_hessian_oracle(a, 2)
+
+    def test_step_positive(self):
+        with pytest.raises(ValueError):
+            fd_hessian_oracle(DenseMatrix(np.diag([2.0, 1.0])), 1, 0.0)
 
 
 class TestFirstAndSecondOrderConsistency:
