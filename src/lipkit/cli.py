@@ -302,7 +302,7 @@ def cmd_dynamics(args):
             store_every=args.store_every,
         )
         rows = dynamics.trajectory_stats(
-            traj, args.steps, state.grad, cov, args.eta, store_every=args.store_every
+            traj, args.steps, state, store_every=args.store_every
         )
         with open(args.traj_out, "w") as fh:
             fh.write("step,sigma1,Z,mu,kappa,lambda_norm\n")

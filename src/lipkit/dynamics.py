@@ -18,16 +18,12 @@ from . import _kernels
 from .errors import NotPSD
 from .matcore import DenseMatrix, SvdTriple, full_svd, vec
 from .svdcalc import (
-    _check_index,
-    _check_simple,
+    _require_gap,
+    _require_index,
     sv_hessian_apply,
     sv_hessian_contract,
     sv_jacobian,
 )
-
-# steps of Gaussian noise drawn per call in euler_maruyama; sequential
-# Philox draws reproduce one large draw bit for bit
-NOISE_CHUNK_STEPS = 256
 
 
 def _psd_sqrt(cov: np.ndarray, floor: float = -1e-10) -> np.ndarray:
@@ -45,8 +41,8 @@ def _psd_sqrt(cov: np.ndarray, floor: float = -1e-10) -> np.ndarray:
 def _top_simple_svd(theta: DenseMatrix) -> SvdTriple:
     """SVD of theta, checked for a simple, nonzero sigma_1."""
     svd = full_svd(theta)
-    _check_index(svd, 1)
-    _check_simple(svd, 1)
+    _require_index(1, svd.rank)
+    _require_gap(svd.singulars, 1)
     return svd
 
 
@@ -187,26 +183,22 @@ def euler_maruyama(
     m, n = state.theta.shape
     d = m * n
     rng = _stream(seed)
+    noise = rng.standard_normal((steps, d))
     scale = math.sqrt(state.eta * dt)
-    drift = np.asarray(state.grad)
-    keep = stored_steps(steps, store_every)
-    x = vec(state.theta).copy()
-    kept = [x]
-    for start in range(0, steps, NOISE_CHUNK_STEPS):
-        noise = rng.standard_normal((min(NOISE_CHUNK_STEPS, steps - start), d))
-        if drift_fn is None:
-            path = _kernels.em_path(x, drift, state.sqrt_cov, dt, scale, noise)[1:]
-        else:
-            path = np.empty_like(noise)
-            for t in range(noise.shape[0]):
-                g = np.asarray(drift_fn(DenseMatrix.from_flat(m, n, x)), dtype=np.float64)
-                x = x - g.reshape(-1) * dt + scale * (state.sqrt_cov @ noise[t])
-                path[t] = x
-        stop = start + noise.shape[0]
-        # copies, so a kept row does not pin its whole chunk in memory
-        kept += [path[t - start - 1].copy() for t in keep[len(kept):] if t <= stop]
-        x = path[-1]
-    return [DenseMatrix.from_flat(m, n, row) for row in kept]
+    theta0 = vec(state.theta).copy()
+    if drift_fn is None:
+        traj = _kernels.em_path(
+            theta0, np.asarray(state.grad), state.sqrt_cov, dt, scale, noise
+        )
+    else:
+        traj = np.empty((steps + 1, d))
+        traj[0] = theta0
+        x = theta0.copy()
+        for t in range(steps):
+            g = np.asarray(drift_fn(DenseMatrix.from_flat(m, n, x)), dtype=np.float64)
+            x = x - g.reshape(-1) * dt + scale * (state.sqrt_cov @ noise[t])
+            traj[t + 1] = x
+    return [DenseMatrix.from_flat(m, n, traj[t]) for t in stored_steps(steps, store_every)]
 
 
 def simulate_ensemble(
@@ -241,22 +233,24 @@ def log_lip_increment(state: LayerDynamicsState, d_theta: DenseMatrix) -> float:
     return (float(j @ dv) + 0.5 * float(dv @ hv)) / state.sigma1
 
 
-def trajectory_stats(
-    traj, steps: int, grad, noise_cov: DenseMatrix, eta: float, store_every: int = 1
-):
+def trajectory_stats(traj, steps: int, state: LayerDynamicsState, store_every: int = 1):
     """Per-stored-step rows (step, sigma1, Z, mu, kappa, ||lambda||) for a
-    trajectory produced by :func:`euler_maruyama` with the same steps and
-    store_every arguments."""
+    trajectory produced by :func:`euler_maruyama` from ``state`` with the
+    same steps and store_every arguments.
+
+    Every row uses the state's gradient, covariance (and its square root)
+    and learning rate; only the SVD is recomputed, with the same checks as
+    :meth:`LayerDynamicsState.create`, for rows that differ from state.theta.
+    """
     labels = stored_steps(steps, store_every)
     if len(labels) != len(traj):
         raise ValueError(
             f"trajectory length {len(traj)} does not match steps={steps}, "
             f"store_every={store_every}"
         )
-    base = LayerDynamicsState.create(traj[0], grad, noise_cov, eta)
     rows = []
     for step, theta in zip(labels, traj):
-        st = base.with_theta(theta)
+        st = state if theta == state.theta else state.with_theta(theta)
         f = driving_forces(st)
         rows.append(
             (

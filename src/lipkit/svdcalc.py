@@ -20,7 +20,7 @@ from .matcore import DenseMatrix, SvdTriple, _numerical_rank, full_svd
 
 GAP_TOL_REL = 1e-8
 MAX_EXPANSION_ORDER = 6
-# largest dense Hessian sv_hessian will build (256 MiB: mn <= 5792)
+# largest dense Hessian `svd-deriv --order 2` will build (256 MiB: mn <= 5792)
 MAX_HESSIAN_BYTES = 1 << 28
 
 
@@ -44,40 +44,22 @@ def _require_gap(s: np.ndarray, k: int):
             )
 
 
-def _check_index(svd: SvdTriple, k: int):
-    _require_index(k, svd.rank)
-
-
-def _check_simple(svd: SvdTriple, k: int, require_all: bool = False):
-    """Gap checks for derivative formulas.
-
-    With ``require_all`` every pair of nonzero singular values must be
-    separated (the Hessian's denominators run over the whole spectrum);
-    otherwise only sigma_k's gaps matter.
-    """
-    s = svd.singulars
-    _require_gap(s, k)
-    if require_all and svd.rank >= 2:
-        tol = GAP_TOL_REL * s[0]
-        nz = s[: svd.rank]
-        pair_gap = float(np.min(np.abs(np.diff(nz))))
-        if pair_gap <= tol:
-            raise DegenerateSpectrum(
-                f"nonzero singular values within {pair_gap:.3e} (tol {tol:.3e})",
-                gap=pair_gap,
-            )
-
-
 def sv_jacobian(svd: SvdTriple, k: int) -> DenseMatrix:
     """d sigma_k / dA = u_k v_k^T, valid for simple sigma_k > 0."""
-    _check_index(svd, k)
-    _check_simple(svd, k)
+    _require_index(k, svd.rank)
+    _require_gap(svd.singulars, k)
     return DenseMatrix(np.outer(svd.u(k), svd.v(k)))
 
 
 def check_hessian_budget(rows: int, cols: int):
     """Refuse a dense (rows*cols)^2 Hessian larger than MAX_HESSIAN_BYTES,
-    before anything of that size is allocated."""
+    before anything of that size is allocated.
+
+    The limit covers H alone. Building H holds about twice its size (the
+    half-sum T next to H), and a finite-difference check adds the oracle's
+    result and the difference, so the real peak is 2-3x the limit.
+    :func:`sv_hessian` itself does not call this.
+    """
     nbytes = 8 * (rows * cols) ** 2
     if nbytes > MAX_HESSIAN_BYTES:
         raise ValueError(
@@ -99,10 +81,20 @@ def _hessian_weights(svd: SvdTriple, k: int):
     1/sigma_k null-space terms), and c_l = sigma_l / (sigma_k^2 - sigma_l^2)
     over the nonzero spectrum l <= rank. The i = j = l = k weights are 0.
     """
-    _check_index(svd, k)
-    _check_simple(svd, k, require_all=True)
+    _require_index(k, svd.rank)
+    _require_gap(svd.singulars, k)
     m, n, r = svd.rows, svd.cols, svd.rank
     sk = svd.sigma(k)
+    if r >= 2:
+        # the denominators run over the whole spectrum, so every pair of
+        # nonzero singular values must be separated
+        tol = GAP_TOL_REL * svd.singulars[0]
+        pair_gap = float(np.min(np.abs(np.diff(svd.singulars[:r]))))
+        if pair_gap <= tol:
+            raise DegenerateSpectrum(
+                f"nonzero singular values within {pair_gap:.3e} (tol {tol:.3e})",
+                gap=pair_gap,
+            )
     s = np.zeros(max(m, n))
     s[:r] = svd.singulars[:r]
     den = sk**2 - s**2
@@ -123,11 +115,11 @@ def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
         T = X diag(a/2) X^T + Y diag(b/2) Y^T + X_r diag(c) Y_r^T,
         H = T + T^T,
 
-    which is exactly symmetric. Costs 8 (mn)^2 bytes; callers that need
-    <H, Sigma> or H vec(E) should use :func:`sv_hessian_contract` or
-    :func:`sv_hessian_apply`, which never build H.
+    which is exactly symmetric. H costs 8 (mn)^2 bytes and the assembly
+    peaks near twice that; callers that need <H, Sigma> or H vec(E) should
+    use :func:`sv_hessian_contract` or :func:`sv_hessian_apply`, which never
+    build H.
     """
-    check_hessian_budget(svd.rows, svd.cols)
     a, b, c = _hessian_weights(svd, k)
     r = c.size
     u, v = svd.left.array, svd.right.array
@@ -348,8 +340,8 @@ def sv_expansion_coeff(
     if n > max_order:
         raise OrderOverflow(f"order {n} exceeds configured maximum {max_order}")
     svd = full_svd(series.base)
-    _check_index(svd, k)
-    _check_simple(svd, k)
+    _require_index(k, svd.rank)
+    _require_gap(svd.singulars, k)
     jw = jordan_wielandt(svd)
     s_mat = reduced_resolvent(jw, k).matrix.array
     w = jw.pos_eigvecs[:, k - 1]

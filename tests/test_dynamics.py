@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lipkit import _kernels, dynamics
+from lipkit import dynamics
 from lipkit.dynamics import (
     LayerDynamicsState,
     NetworkDynamics,
@@ -207,26 +207,6 @@ class TestEulerMaruyama:
         b = euler_maruyama(state, dt=0.01, steps=15, seed=9)
         assert all(x == y for x, y in zip(a, b))
 
-    @pytest.mark.parametrize("chunk", [4, dynamics.NOISE_CHUNK_STEPS])
-    @pytest.mark.parametrize("store_every", [1, 3])
-    def test_chunked_noise_matches_one_shot_draw(self, rng, monkeypatch, chunk, store_every):
-        g = rng.standard_normal(20)
-        state = make_state(rng, grad=g, eta=1e-3, cov=random_psd(rng, 20))
-        monkeypatch.setattr(dynamics, "NOISE_CHUNK_STEPS", chunk)
-        steps, dt, seed = 2 * chunk + 3, 0.01, 5
-        noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal((steps, 20))
-        one_shot = _kernels.em_path(
-            vec(state.theta).copy(), g, state.sqrt_cov, dt, math.sqrt(state.eta * dt), noise
-        )
-        keep = dynamics.stored_steps(steps, store_every)
-        for drift_fn in (None, lambda theta: g):
-            traj = euler_maruyama(
-                state, dt, steps, seed=seed, drift_fn=drift_fn, store_every=store_every
-            )
-            assert len(traj) == len(keep)
-            for t, theta in zip(keep, traj):
-                np.testing.assert_array_equal(vec(theta), one_shot[t])
-
     def test_validation(self, rng):
         state = make_state(rng)
         with pytest.raises(ValueError):
@@ -302,7 +282,7 @@ class TestTrajectoryStats:
     def test_rows_report_forces(self, rng):
         state = make_state(rng, eta=1e-4)
         traj = euler_maruyama(state, dt=0.01, steps=4, seed=2)
-        rows = trajectory_stats(traj, 4, state.grad, state.noise_cov, state.eta)
+        rows = trajectory_stats(traj, 4, state)
         assert len(rows) == 5
         step0 = rows[0]
         assert step0[1] == pytest.approx(state.sigma1)
@@ -314,20 +294,17 @@ class TestTrajectoryStats:
     def test_step_labels_with_decimation(self, rng):
         state = make_state(rng, eta=1e-4)
         traj = euler_maruyama(state, dt=0.01, steps=10, seed=1, store_every=4)
-        rows = trajectory_stats(
-            traj, 10, state.grad, state.noise_cov, state.eta, store_every=4
-        )
+        rows = trajectory_stats(traj, 10, state, store_every=4)
         assert [r[0] for r in rows] == [0, 4, 8, 10]
 
     def test_length_mismatch_rejected(self, rng):
         state = make_state(rng, eta=1e-4)
         traj = euler_maruyama(state, dt=0.01, steps=4, seed=2)
         with pytest.raises(ValueError):
-            trajectory_stats(traj, 9, state.grad, state.noise_cov, state.eta)
+            trajectory_stats(traj, 9, state)
 
-    def test_one_covariance_root_per_call(self, rng, monkeypatch):
-        state = make_state(rng, eta=1e-4, cov=random_psd(rng, 20))
-        traj = euler_maruyama(state, dt=0.01, steps=6, seed=2)
+    def test_one_covariance_root_per_run(self, rng, monkeypatch):
+        # state, trajectory and per-row stats together take one eigh
         calls = []
         psd_sqrt = dynamics._psd_sqrt
 
@@ -336,14 +313,30 @@ class TestTrajectoryStats:
             return psd_sqrt(cov, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_psd_sqrt", counting)
-        rows = trajectory_stats(traj, 6, state.grad, state.noise_cov, state.eta)
+        state = make_state(rng, eta=1e-4, cov=random_psd(rng, 20))
+        traj = euler_maruyama(state, dt=0.01, steps=6, seed=2)
+        rows = trajectory_stats(traj, 6, state)
         assert len(rows) == 7
         assert calls == [(20, 20)]
+
+    def test_start_row_reuses_state_svd(self, rng, monkeypatch):
+        state = make_state(rng, eta=1e-4)
+        traj = euler_maruyama(state, dt=0.01, steps=3, seed=2)
+        svds = []
+        full_svd = dynamics.full_svd
+
+        def counting(theta, *args, **kwargs):
+            svds.append(theta)
+            return full_svd(theta, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "full_svd", counting)
+        trajectory_stats(traj, 3, state)
+        assert svds == traj[1:]
 
     def test_rows_equal_per_row_states(self, rng):
         state = make_state(rng, eta=1e-4, cov=random_psd(rng, 20), grad=rng.standard_normal(20))
         traj = euler_maruyama(state, dt=0.01, steps=5, seed=4)
-        rows = trajectory_stats(traj, 5, state.grad, state.noise_cov, state.eta)
+        rows = trajectory_stats(traj, 5, state)
         for row, theta in zip(rows, traj):
             st = LayerDynamicsState.create(theta, state.grad, state.noise_cov, state.eta)
             f = driving_forces(st)
@@ -355,10 +348,10 @@ class TestTrajectoryStats:
         state = make_state(rng, eta=1e-4)
         traj = [state.theta, DenseMatrix(np.eye(4, 5))]
         with pytest.raises(DegenerateSpectrum):
-            trajectory_stats(traj, 1, state.grad, state.noise_cov, state.eta)
+            trajectory_stats(traj, 1, state)
 
     def test_row_shape_checked(self, rng):
         state = make_state(rng, eta=1e-4)
         traj = [state.theta, DenseMatrix(np.ones((5, 4)))]
         with pytest.raises(ValueError):
-            trajectory_stats(traj, 1, state.grad, state.noise_cov, state.eta)
+            trajectory_stats(traj, 1, state)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lipkit import svdcalc
 from lipkit.errors import DegenerateSpectrum, OrderOverflow, ZeroSingular
 from lipkit.matcore import DenseMatrix, full_svd, vec
 from lipkit.svdcalc import (
@@ -221,6 +222,12 @@ class TestHessianBudget:
             check_hessian_budget(side + 1, side + 1)
         with pytest.raises(ValueError):
             check_hessian_budget(1, 6000)
+
+    def test_library_hessian_not_capped(self, rng, monkeypatch):
+        # only the CLI applies the limit; sv_hessian builds any size asked for
+        monkeypatch.setattr(svdcalc, "MAX_HESSIAN_BYTES", 0)
+        h = sv_hessian(full_svd(DenseMatrix(rng.standard_normal((3, 4)))), 1).array
+        assert h.shape == (12, 12)
 
 
 class TestFdHessianOracle:
