@@ -1,53 +1,19 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels in plain numpy.
 
-Backend selection:
-  * default: numba ``@njit`` build of each kernel (compiled on first use,
-    cached on disk),
-  * ``LIPKIT_NO_NUMBA=1`` (or numba missing): pure-numpy fallback.
-
-Both paths consume identical inputs (noise streams are drawn by the caller)
-so results agree to floating-point roundoff; ``benchmarks/bench_kernels.py``
-compares their speed.
+Callers draw every noise stream themselves and pass it in, so each kernel
+is a deterministic function of its arguments.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-try:
-    import numba
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-
-def _env_flag(name):
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-USE_NUMBA = _HAVE_NUMBA and not _env_flag("LIPKIT_NO_NUMBA")
-
-if USE_NUMBA and os.environ.get("LIPKIT_THREADS"):
-    try:
-        numba.set_num_threads(max(1, int(os.environ["LIPKIT_THREADS"])))
-    except (ValueError, RuntimeError):
-        pass
 
 
 def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# power iteration (simultaneous update form)
-# ---------------------------------------------------------------------------
-
-def _power_iterate_py(a, at, u0, iters):
+def power_iterate(a, at, u0, iters):
     """Alternating power iteration; returns (u, v, per-step sigma estimates).
 
     Update k -> k+1 uses the step-k pair on both sides:
@@ -86,7 +52,7 @@ def _power_iterate_py(a, at, u0, iters):
     return u, v, history
 
 
-def _shapley_accumulate_py(values, weights, popcounts, n_players):
+def shapley_accumulate(values, weights, popcounts, n_players):
     """Exact Shapley sums; values indexed by coalition bitmask."""
     psi = np.zeros(n_players)
     masks = np.arange(values.shape[0], dtype=np.int64)
@@ -99,7 +65,7 @@ def _shapley_accumulate_py(values, weights, popcounts, n_players):
     return psi
 
 
-def _em_path_py(theta0, drift, sqrt_cov, dt, noise_scale, noise):
+def em_path(theta0, drift, sqrt_cov, dt, noise_scale, noise):
     """Single Euler-Maruyama path with constant drift; returns (steps+1, d)."""
     steps = noise.shape[0]
     d = theta0.shape[0]
@@ -112,17 +78,10 @@ def _em_path_py(theta0, drift, sqrt_cov, dt, noise_scale, noise):
     return traj
 
 
-def _em_ensemble_step_py(thetas, drift, sqrt_cov_t, dt, noise_scale, noise):
-    """One Euler-Maruyama step applied to every path in place."""
-    thetas -= drift * dt
-    thetas += noise_scale * (noise @ sqrt_cov_t)
-    return thetas
-
-
-def _direct_dft_py(samples, proj, ts, scale):
+def direct_dft(samples, proj, ts, scale):
     """out[j] = scale * sum_i samples[i] * exp(-2*pi*i * ts[j] * proj[i]).
 
-    numpy path chunks the phase matrix to bound memory on large grids.
+    The phase matrix is built in chunks of ts to bound memory on large grids.
     """
     out = np.empty(ts.shape[0], dtype=np.complex128)
     chunk = max(1, int(4_000_000 // max(1, samples.shape[0])))
@@ -131,106 +90,3 @@ def _direct_dft_py(samples, proj, ts, scale):
         phase = np.exp(-2j * np.pi * np.outer(ts[start:stop], proj))
         out[start:stop] = phase @ samples
     return out * scale
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _power_iterate_nb(a, at, u0, iters):  # pragma: no cover - jitted
-        m = a.shape[0]
-        u = u0 / np.sqrt(np.dot(u0, u0))
-        v = at @ u
-        nv = np.sqrt(np.dot(v, v))
-        if nv == 0.0:
-            u = np.zeros(m)
-            u[0] = 1.0
-            v = at @ u
-            nv = np.sqrt(np.dot(v, v))
-        v = v / nv
-        history = np.empty(iters)
-        for t in range(iters):
-            u_next = a @ v
-            nu = np.sqrt(np.dot(u_next, u_next))
-            if nu > 0.0:
-                u_next = u_next / nu
-            else:
-                u_next = u
-            v_next = at @ u
-            nv = np.sqrt(np.dot(v_next, v_next))
-            if nv > 0.0:
-                v_next = v_next / nv
-            else:
-                v_next = v
-            u = u_next
-            v = v_next
-            history[t] = np.dot(u, a @ v)
-        return u, v, history
-
-    @njit(cache=True)
-    def _shapley_accumulate_nb(values, weights, popcounts, n_players):  # pragma: no cover
-        psi = np.zeros(n_players)
-        n_masks = values.shape[0]
-        for i in range(n_players):
-            bit = 1 << i
-            acc = 0.0
-            for mask in range(n_masks):
-                if mask & bit:
-                    continue
-                acc += weights[popcounts[mask]] * (values[mask | bit] - values[mask])
-            psi[i] = acc
-        return psi
-
-    @njit(cache=True)
-    def _em_path_nb(theta0, drift, sqrt_cov, dt, noise_scale, noise):  # pragma: no cover
-        steps = noise.shape[0]
-        d = theta0.shape[0]
-        traj = np.empty((steps + 1, d))
-        traj[0] = theta0
-        x = theta0.copy()
-        for t in range(steps):
-            x = x - drift * dt + noise_scale * (sqrt_cov @ noise[t])
-            traj[t + 1] = x
-        return traj
-
-    @njit(cache=True)
-    def _em_ensemble_step_nb(thetas, drift, sqrt_cov_t, dt, noise_scale, noise):  # pragma: no cover
-        thetas -= drift * dt
-        thetas += noise_scale * (noise @ sqrt_cov_t)
-        return thetas
-
-    @njit(cache=True)
-    def _direct_dft_nb(samples, proj, ts, scale):  # pragma: no cover
-        out = np.empty(ts.shape[0], dtype=np.complex128)
-        n = samples.shape[0]
-        for j in range(ts.shape[0]):
-            acc_re = 0.0
-            acc_im = 0.0
-            w = -2.0 * math.pi * ts[j]
-            for i in range(n):
-                ang = w * proj[i]
-                acc_re += samples[i] * math.cos(ang)
-                acc_im += samples[i] * math.sin(ang)
-            out[j] = complex(acc_re * scale, acc_im * scale)
-        return out
-
-    power_iterate = _power_iterate_nb
-    shapley_accumulate = _shapley_accumulate_nb
-    em_path = _em_path_nb
-    em_ensemble_step = _em_ensemble_step_nb
-    direct_dft = _direct_dft_nb
-else:
-    power_iterate = _power_iterate_py
-    shapley_accumulate = _shapley_accumulate_py
-    em_path = _em_path_py
-    em_ensemble_step = _em_ensemble_step_py
-    direct_dft = _direct_dft_py
-
-# the plain-python/numpy builds are exported for backend-equivalence tests
-# and for the benchmark script regardless of the selected backend
-NUMPY_IMPLS = {
-    "power_iterate": _power_iterate_py,
-    "shapley_accumulate": _shapley_accumulate_py,
-    "em_path": _em_path_py,
-    "em_ensemble_step": _em_ensemble_step_py,
-    "direct_dft": _direct_dft_py,
-}

@@ -172,7 +172,7 @@ def euler_maruyama(
     Returns the trajectory as a list of DenseMatrix: the start, every
     store_every-th step, and the final step. ``drift_fn`` maps the current
     DenseMatrix to a gradient vector; when absent the state's constant
-    gradient is used (and the stepping runs in the compiled kernel).
+    gradient is used (and the stepping runs in ``_kernels.em_path``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -218,7 +218,8 @@ def simulate_ensemble(
     drift = np.asarray(state.grad)
     for _ in range(steps):
         noise = rng.standard_normal((n_paths, d))
-        thetas = _kernels.em_ensemble_step(thetas, drift, sqrt_cov_t, dt, scale, noise)
+        thetas -= drift * dt
+        thetas += scale * (noise @ sqrt_cov_t)
     return thetas.reshape(n_paths, n, m).swapaxes(1, 2)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyBand, GridMismatch, NotUnit
+from .matcore import _number_rows
 
 BAND_VALIDITY_DELTA = 1.0 / np.sqrt(np.pi)  # ~0.5642, small-ball validity threshold
 
@@ -194,7 +195,7 @@ def band_bound(s: SpectralSignal, center, radius: float, eps: float) -> float:
         raise EmptyBand(f"no spectrum bin within {radius} of {center}")
     m_delta = float(np.max(spectral_contribution(s)[primary]))
     measure = 2.0 * radius if s.dim == 1 else np.pi * radius**2
-    return m_delta * eps * float(np.sqrt(measure))
+    return mi_gap_bound(m_delta, eps, measure)
 
 
 def mi_gap_bound(m_delta: float, eps: float, ball_measure: float) -> float:
@@ -271,19 +272,11 @@ def load_signal_csv(path) -> SpectralSignal:
         )
         if "dx" not in fields:
             raise ValueError(f"{path}: header must contain dx=<spacing>")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a numeric row") from exc
+        two_d = "dy" in fields
+        rows = _number_rows(path, fh, start=2, width=None if two_d else 1)
     if not rows:
         raise ValueError(f"{path}: no samples")
-    if "dy" in fields:
-        data = np.array(rows)
+    data = np.array(rows)
+    if two_d:
         return SpectralSignal(data, (float(fields["dx"]), float(fields["dy"])))
-    data = np.array([r[0] for r in rows])
-    return SpectralSignal(data, (float(fields["dx"]),))
+    return SpectralSignal(data[:, 0], (float(fields["dx"]),))

@@ -222,21 +222,37 @@ def save_matrix_csv(path, m: DenseMatrix):
         fh.writelines(matrix_csv_lines(m))
 
 
-def load_matrix_csv(path) -> DenseMatrix:
+def _csv_rows(lines, start=1):
+    """(file line number, comma-separated fields) of every non-blank line;
+    ``start`` is the file line number of the first of ``lines``."""
+    for lineno, line in enumerate(lines, start=start):
+        line = line.strip()
+        if line:
+            yield lineno, line.split(",")
+
+
+def _number_rows(path, lines, start=1, width=None):
+    """Rows of floats from the non-blank ``lines``, all of one width (the
+    first row's unless ``width`` is given); errors name ``path:line``."""
     rows = []
+    for lineno, fields in _csv_rows(lines, start):
+        try:
+            row = [float(tok) for tok in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: not a comma-separated number row") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(
+                f"{path}:{lineno}: row {lineno} has {len(row)} entries, expected {width}"
+            )
+        rows.append(row)
+    return rows
+
+
+def load_matrix_csv(path) -> DenseMatrix:
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a comma-separated number row") from exc
+        rows = _number_rows(path, fh)
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {lineno} has {len(row)} entries, expected {width}")
     return DenseMatrix(np.array(rows))

@@ -306,19 +306,9 @@ def _get(params, key, kind):
         raise InvalidParams(f"{kind}: missing parameter {key!r}") from None
 
 
-def _spec_norm(value) -> float:
-    arr = value.array if isinstance(value, DenseMatrix) else np.asarray(value, dtype=float)
-    return float(np.linalg.norm(arr, 2))
-
-
-def _fro_norm(value) -> float:
-    arr = value.array if isinstance(value, DenseMatrix) else np.asarray(value, dtype=float)
-    return float(np.linalg.norm(arr))
-
-
-def _inf_norm(value) -> float:
-    arr = value.array if isinstance(value, DenseMatrix) else np.asarray(value, dtype=float)
-    return float(np.linalg.norm(arr, np.inf))
+def _as_array(value) -> np.ndarray:
+    """A DenseMatrix's array, or any other value as a float array."""
+    return value.array if isinstance(value, DenseMatrix) else np.asarray(value, dtype=float)
 
 
 def attention_bound(kind: str, params: dict) -> float:
@@ -340,10 +330,11 @@ def attention_bound(kind: str, params: dict) -> float:
         if "x_norm" in params:
             x_norm = float(params["x_norm"])
         else:
-            x_norm = _fro_norm(_get(params, "x", kind))
-        wv = _spec_norm(_get(params, "w_v", kind))
-        wq = _spec_norm(_get(params, "w_q", kind))
-        wk = _spec_norm(_get(params, "w_k", kind))
+            x_norm = float(np.linalg.norm(_as_array(_get(params, "x", kind))))
+        wv, wq, wk = (
+            float(np.linalg.norm(_as_array(_get(params, key, kind)), 2))
+            for key in ("w_v", "w_q", "w_k")
+        )
         return n * (n + 1) * (x_norm + delta) ** 2 * (wv * wq * wk + wv)
 
     if kind in ("kim_l2", "kim_linf"):
@@ -358,50 +349,50 @@ def attention_bound(kind: str, params: dict) -> float:
             raise InvalidParams(f"{kind}: sequence length must be >= 1")
         inv = phi_inverse(float(n - 1))
         if kind == "kim_l2":
-            head_sum = sum(_spec_norm(wq) ** 2 * _spec_norm(wv) ** 2 for wq, wv in heads)
+            head_sum = sum(
+                float(np.linalg.norm(_as_array(wq), 2)) ** 2
+                * float(np.linalg.norm(_as_array(wv), 2)) ** 2
+                for wq, wv in heads
+            )
             return (
                 math.sqrt(n)
                 / math.sqrt(d / h)
                 * (4.0 * inv + 1.0)
                 * math.sqrt(head_sum)
-                * _spec_norm(w_o)
+                * float(np.linalg.norm(_as_array(w_o), 2))
             )
-        wo_t = w_o.array.T if isinstance(w_o, DenseMatrix) else np.asarray(w_o).T
-        q_term = max(_inf_norm(wq) * _inf_norm(_transpose(wq)) for wq, _ in heads)
-        v_term = max(_inf_norm(_transpose(wv)) for _, wv in heads)
-        return (4.0 * inv + 1.0 / (d / h)) * _inf_norm(wo_t) * q_term * v_term
+        q_term = max(
+            float(np.linalg.norm(_as_array(wq), np.inf))
+            * float(np.linalg.norm(_as_array(wq).T, np.inf))
+            for wq, _ in heads
+        )
+        v_term = max(float(np.linalg.norm(_as_array(wv).T, np.inf)) for _, wv in heads)
+        wo_norm = float(np.linalg.norm(_as_array(w_o).T, np.inf))
+        return (4.0 * inv + 1.0 / (d / h)) * wo_norm * q_term * v_term
 
     if kind == "yudin":
-        wq = _get(params, "w_q", kind)
-        wk = _get(params, "w_k", kind)
-        wv = _get(params, "w_v", kind)
-        x = _get(params, "x", kind)
-        x_arr = x.array if isinstance(x, DenseMatrix) else np.asarray(x, dtype=float)
-        wq_arr = wq.array if isinstance(wq, DenseMatrix) else np.asarray(wq, dtype=float)
-        wk_arr = wk.array if isinstance(wk, DenseMatrix) else np.asarray(wk, dtype=float)
-        d = x_arr.shape[1]
-        if wq_arr.shape[0] != d or wk_arr.shape[0] != d:
+        wq, wk, wv, x = (_get(params, key, kind) for key in ("w_q", "w_k", "w_v", "x"))
+        x, wq, wk = _as_array(x), _as_array(wq), _as_array(wk)
+        d = x.shape[1]
+        if wq.shape[0] != d or wk.shape[0] != d:
             raise InvalidParams(
                 f"yudin: W_Q/W_K first dimension must match x's width {d}"
             )
-        a = wq_arr @ wk_arr.T / math.sqrt(d)
-        scores = x_arr @ a @ x_arr.T
+        a = wq @ wk.T / math.sqrt(d)
+        scores = x @ a @ x.T
         scores = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(scores)
         p = e / e.sum(axis=1, keepdims=True)
         jac_norm = max(
-            _spec_norm(softmax_jacobian(np.ascontiguousarray(row))) for row in p
+            float(np.linalg.norm(softmax_jacobian(np.ascontiguousarray(row)).array, 2))
+            for row in p
         )
-        return _spec_norm(wv) * (
-            _spec_norm(p) + 2.0 * _fro_norm(x_arr) ** 2 * _spec_norm(a) * jac_norm
+        return float(np.linalg.norm(_as_array(wv), 2)) * (
+            float(np.linalg.norm(p, 2))
+            + 2.0 * float(np.linalg.norm(x)) ** 2 * float(np.linalg.norm(a, 2)) * jac_norm
         )
 
     raise InvalidParams(f"unknown attention bound kind {kind!r}")
-
-
-def _transpose(value):
-    arr = value.array if isinstance(value, DenseMatrix) else np.asarray(value, dtype=float)
-    return arr.T
 
 
 def seqlip_pair_factor(u1, v1, r_l: float, r_next: float) -> float:

@@ -27,6 +27,7 @@ from .errors import (
     PlayerCountTooLarge,
 )
 from .fourlip import SpectralSignal
+from .matcore import _csv_rows
 
 MAX_EXACT_PLAYERS = 16
 
@@ -227,11 +228,7 @@ def save_game_csv(path, game: CoalitionGame):
 def load_game_csv(path, n_players=None) -> CoalitionGame:
     entries = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
+        for lineno, parts in _csv_rows(fh):
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'bitmask,value'")
             try:

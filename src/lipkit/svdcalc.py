@@ -245,32 +245,18 @@ def reduced_resolvent(jw: JordanWielandt, k: int) -> ReducedResolvent:
     branch (whose i = k term carries weight -1/(2 sigma_k)), and the two
     null groups with weight -1/sigma_k.
     """
-    r = jw.sigmas.size
-    if not 1 <= k <= r:
-        raise ZeroSingular(f"k={k} outside 1..rank={r}")
+    _require_index(k, jw.sigmas.size)
+    _require_gap(jw.sigmas, k)
     sk = jw.sigmas[k - 1]
-    others = np.delete(jw.sigmas, k - 1)
-    if others.size:
-        gap = float(np.min(np.abs(others - sk)))
-        tol = GAP_TOL_REL * jw.sigmas[0]
-        if gap <= tol:
-            raise DegenerateSpectrum(
-                f"sigma_{k} within {gap:.3e} of a neighbor (tol {tol:.3e})", gap=gap
-            )
-    dim = jw.rows + jw.cols
-    s_mat = np.zeros((dim, dim))
-    for i in range(r):
-        wi_pos = jw.pos_eigvecs[:, i]
-        wi_neg = jw.neg_eigvecs[:, i]
-        if i != k - 1:
-            s_mat += np.outer(wi_pos, wi_pos) / (jw.sigmas[i] - sk)
-        s_mat += np.outer(wi_neg, wi_neg) / (-jw.sigmas[i] - sk)
-    for j in range(jw.left_null.shape[1]):
-        a = jw.left_null[:, j]
-        s_mat -= np.outer(a, a) / sk
-    for j in range(jw.right_null.shape[1]):
-        b = jw.right_null[:, j]
-        s_mat -= np.outer(b, b) / sk
+    others = np.arange(jw.sigmas.size) != k - 1
+    n_null = jw.left_null.shape[1] + jw.right_null.shape[1]
+    w_mat = np.hstack(
+        [jw.pos_eigvecs[:, others], jw.neg_eigvecs, jw.left_null, jw.right_null]
+    )
+    weights = np.concatenate(
+        [1.0 / (jw.sigmas[others] - sk), 1.0 / (-jw.sigmas - sk), np.full(n_null, -1.0 / sk)]
+    )
+    s_mat = (w_mat * weights) @ w_mat.T
     return ReducedResolvent(k=k, matrix=DenseMatrix(s_mat))
 
 

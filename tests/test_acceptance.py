@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from lipkit import _kernels
 from lipkit.activations import (
     closed_form_lipschitz,
     make_activation,
@@ -308,8 +307,6 @@ def test_criterion_9_dag_bounds():
 
 
 def test_criterion_10_dynamics_decomposition():
-    # warm the JIT kernels so compilation is not billed to the experiment
-    _kernels.em_ensemble_step(np.zeros((2, 4)), np.zeros(4), np.eye(4), 0.1, 0.1, np.zeros((2, 4)))
     start = time.monotonic()
     rng = np.random.default_rng(10)
     theta = DenseMatrix(random_matrix_with_spectrum(rng, 4, 5, [2.0, 1.2, 0.7, 0.3]))

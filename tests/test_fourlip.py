@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lipkit import cli
 from lipkit.errors import EmptyBand, GridMismatch, NotUnit
 from lipkit.fourlip import (
     SpectralSignal,
@@ -316,3 +317,17 @@ class TestSignalCsv:
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError, match="header"):
             load_signal_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("# dx=1\n1,2\n3,4\n5\n", 2),  # 1-D rows hold exactly one value
+            ("# dx=1 dy=1\n1,2\n\n3\n", 4),  # ragged 2-D row after a blank line
+        ],
+        ids=["1d-two-values", "2d-ragged"],
+    )
+    def test_bad_row_exits_2_naming_the_line(self, tmp_path, capsys, text, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert cli.main(["fourier", "--signal", str(path), "--bound"]) == 2
+        assert f"{path}:{lineno}: " in capsys.readouterr().err

@@ -144,10 +144,15 @@ class TestMatrixCsv:
         save_matrix_csv(path, m)
         assert load_matrix_csv(path) == m
 
-    def test_ragged_rows_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1,2\n3\n", "row 2"), ("1,2\n\n3\n", "row 3")],
+        ids=["adjacent", "after-blank-line"],
+    )
+    def test_ragged_rows_rejected(self, tmp_path, text, line):
         path = tmp_path / "bad.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(ValueError, match="row 2"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=line):
             load_matrix_csv(path)
 
     def test_non_numeric_rejected(self, tmp_path):
