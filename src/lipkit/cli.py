@@ -187,7 +187,8 @@ def cmd_svd_deriv(args):
         oracle = svdcalc.fd_hessian_oracle
     dev = None
     if args.check_fd:
-        diff = result.array - oracle(mat, args.k, step=args.step).array
+        step = {} if args.step is None else {"step": args.step}
+        diff = result.array - oracle(mat, args.k, **step).array
         dev = np.max(np.abs(diff, out=diff))
     # checked before anything is written, so a failed check leaves no --out
     # file; each row is formatted once for both stdout and --out
@@ -413,8 +414,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "step", None) is None and args.command == "svd-deriv":
-        args.step = 1e-6 if args.order == 1 else 1e-5
     try:
         return args.fn(args)
     except CliError as exc:

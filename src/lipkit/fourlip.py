@@ -36,8 +36,8 @@ class SpectralSignal:
         if np.isscalar(spacing):
             spacing = (float(spacing),) * samples.ndim
         spacing = tuple(float(s) for s in spacing)
-        if len(spacing) != samples.ndim or any(s <= 0 for s in spacing):
-            raise ValueError(f"need {samples.ndim} positive spacings, got {spacing}")
+        if len(spacing) != samples.ndim or not all(0 < s < np.inf for s in spacing):
+            raise ValueError(f"need {samples.ndim} positive finite spacings, got {spacing}")
         samples = samples.copy()
         samples.flags.writeable = False
         self.samples = samples
@@ -273,10 +273,17 @@ def load_signal_csv(path) -> SpectralSignal:
         if "dx" not in fields:
             raise ValueError(f"{path}: header must contain dx=<spacing>")
         two_d = "dy" in fields
+        spacing = []
+        for key in ("dx", "dy") if two_d else ("dx",):
+            try:
+                value = float(fields[key])
+            except ValueError:
+                value = np.nan
+            if not 0 < value < np.inf:
+                raise ValueError(f"{path}:1: {key}={fields[key]} is not a positive finite spacing")
+            spacing.append(value)
         rows = _number_rows(path, fh, start=2, width=None if two_d else 1)
     if not rows:
         raise ValueError(f"{path}: no samples")
     data = np.array(rows)
-    if two_d:
-        return SpectralSignal(data, (float(fields["dx"]), float(fields["dy"])))
-    return SpectralSignal(data[:, 0], (float(fields["dx"]),))
+    return SpectralSignal(data if two_d else data[:, 0], spacing)

@@ -3,8 +3,8 @@
 A graph of typed nodes (linear / activation / residual / attention / plain
 constants) with a unique source and sink supports: per-node constants, the
 product bound along a chain, the path-sum bound computed by dynamic
-programming in topological order, and a tighter factorization across
-articulation points. Companion closed forms cover residual modules,
+programming in topological order, and the same path-sum bound factored
+across articulation points. Companion closed forms cover residual modules,
 addition/concatenation algebra, attention bounds, pairwise spectral
 alignment refinement, and margin-based certified radii.
 """
@@ -100,17 +100,12 @@ class NetworkGraph:
                 raise GraphInvalid(f"node {n.id!r}: weight_ref {n.weight_ref!r} unresolved")
         self.digraph = g
         self.topo_order = list(nx.topological_sort(g))
-        self._topo_index = {n: i for i, n in enumerate(self.topo_order)}
 
     def node(self, node_id) -> Node:
         try:
             return self.nodes[node_id]
         except KeyError:
             raise UnknownNode(f"no node {node_id!r}") from None
-
-
-def _spectral_norm_exact(m: DenseMatrix) -> float:
-    return float(np.linalg.norm(m.array, 2))
 
 
 def node_lipschitz(
@@ -135,7 +130,7 @@ def node_lipschitz(
         if use_power:
             est = power_iteration(mat, iters=iters, seed=seed)
             return NodeLip(node_id, est.sigma_est, "power_iteration", iterations=iters, seed=seed)
-        return NodeLip(node_id, _spectral_norm_exact(mat), "closed_form")
+        return NodeLip(node_id, float(np.linalg.norm(mat.array, 2)), "closed_form")
     if node.kind == "activation":
         return NodeLip(node_id, closed_form_lipschitz(node.activation), "closed_form")
     if node.kind == "scalar_lip":
@@ -151,11 +146,13 @@ def node_lipschitz(
     raise GraphInvalid(f"unhandled node kind {node.kind!r}")
 
 
-def all_node_lips(g: NetworkGraph, **opts) -> dict:
-    return {nid: node_lipschitz(g, nid, **opts) for nid in g.nodes}
+def all_node_lips(
+    g: NetworkGraph, spectral: str = "auto", iters: int = 100, seed: int = 0
+) -> dict:
+    return {nid: node_lipschitz(g, nid, spectral, iters, seed) for nid in g.nodes}
 
 
-def product_bound(chain, g: NetworkGraph, lips=None, **opts) -> float:
+def product_bound(chain, g: NetworkGraph, lips=None) -> float:
     """Product of node constants along a directed path of the graph."""
     chain = list(chain)
     if not chain:
@@ -165,7 +162,7 @@ def product_bound(chain, g: NetworkGraph, lips=None, **opts) -> float:
     for u, v in zip(chain, chain[1:]):
         if not g.digraph.has_edge(u, v):
             raise NotAPath(f"missing edge ({u!r} -> {v!r})")
-    lips = lips or all_node_lips(g, **opts)
+    lips = lips or all_node_lips(g)
     out = 1.0
     for nid in chain:
         out *= lips[nid].lip
@@ -179,14 +176,14 @@ class DagBound:
     node_lips: dict
 
 
-def dag_bound(g: NetworkGraph, lips=None, **opts) -> DagBound:
+def dag_bound(g: NetworkGraph, lips=None) -> DagBound:
     """Path-sum bound via S(v) dynamic programming in topological order.
 
     S(source) = 1 and S(v) = Lip[h_v] * sum of S over predecessors; S(sink)
     equals the sum over all source->sink paths of the node-constant
     products.
     """
-    lips = lips or all_node_lips(g, **opts)
+    lips = lips or all_node_lips(g)
     s = {}
     for nid in g.topo_order:
         if nid == g.source:
@@ -205,43 +202,35 @@ class ArticulationBound:
     node_lips: dict
 
 
-def _segment_path_sum(g: NetworkGraph, lips, start, end):
-    """Sum over start->end paths of the product of interior node constants
-    (both endpoints excluded)."""
-    between = (nx.descendants(g.digraph, start) & nx.ancestors(g.digraph, end)) | {start, end}
-    s = {start: 1.0}
-    for nid in g.topo_order:
-        if nid not in between or nid == start:
-            continue
-        acc = sum(s.get(u, 0.0) for u in g.digraph.predecessors(nid) if u in between)
-        s[nid] = acc if nid == end else lips[nid].lip * acc
-    return s.get(end, 0.0)
-
-
-def articulation_bound(g: NetworkGraph, lips=None, **opts) -> ArticulationBound:
+def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
     """Factor the path-sum bound across articulation points.
 
-    Cut vertices of the undirected shadow (source and sink excluded) split
-    the graph into sub-DAG segments; the bound is the product of segment
-    path sums and cut-vertex constants. With no cuts this equals dag_bound.
+    Cut vertices of the undirected shadow (never the source or the sink,
+    which every other node reaches or is reached from) split the graph
+    into sub-DAG segments; the bound is the product of segment path sums
+    and cut-vertex constants, the same value as dag_bound in factored
+    form. Since every node lies on a source->sink path, every cut vertex
+    lies on all of them, so a node after cut c in topological order has
+    all its predecessors in c's segment. One pass of the dag_bound
+    recurrence in topological order therefore closes a segment at each
+    cut vertex (and at the sink) and restarts there with S = 1.
     """
-    lips = lips or all_node_lips(g, **opts)
-    undirected = g.digraph.to_undirected()
-    cuts = [
-        v
-        for v in nx.articulation_points(undirected)
-        if v not in (g.source, g.sink)
-    ]
-    cuts.sort(key=g._topo_index.get)
-    if not cuts:
-        inner = dag_bound(g, lips=lips)
-        return ArticulationBound(inner.bound, [], [inner.bound], lips)
-    anchors = [g.source] + cuts + [g.sink]
-    segment_sums = [
-        _segment_path_sum(g, lips, a, b) for a, b in zip(anchors, anchors[1:])
-    ]
+    lips = lips or all_node_lips(g)
+    articulation = set(nx.articulation_points(g.digraph.to_undirected()))
+    cuts, subdag_bounds, s = [], [], {}
+    for nid in g.topo_order:
+        if nid == g.source:
+            s[nid] = 1.0
+            continue
+        acc = sum(s[u] for u in g.digraph.predecessors(nid))
+        if nid in articulation:
+            cuts.append(nid)
+            subdag_bounds.append(acc)
+            s[nid] = 1.0
+        else:
+            s[nid] = lips[nid].lip * acc
     # the sink is a module of the last segment; cut vertices are their own factors
-    subdag_bounds = segment_sums[:-1] + [segment_sums[-1] * lips[g.sink].lip]
+    subdag_bounds.append(s[g.sink])
     bound = 1.0
     for val in subdag_bounds:
         bound *= val

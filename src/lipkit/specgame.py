@@ -98,6 +98,8 @@ class CoalitionGame:
             raise ValueError(
                 f"need a complete table of {1 << self.n_players} values, got {values.shape}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("coalition values must be finite")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -235,6 +237,8 @@ def load_game_csv(path, n_players=None) -> CoalitionGame:
                 mask, val = int(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad bitmask or value") from exc
+            if not math.isfinite(val):
+                raise ValueError(f"{path}:{lineno}: value {parts[1].strip()} is not finite")
             if mask < 0 or mask in entries:
                 raise ValueError(f"{path}:{lineno}: bad or duplicate bitmask {mask}")
             entries[mask] = val

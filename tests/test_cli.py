@@ -181,6 +181,18 @@ class TestSvdDeriv:
         assert out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_zero_step_exits_2(self, capsys, tmp_path, order):
+        mat_path = tmp_path / "m.csv"
+        save_matrix_csv(mat_path, DenseMatrix(np.diag([2.0, 1.0])))
+        code, out, err = run(
+            capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", order,
+            "--check-fd", "--step", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "step must be positive" in err
+
     def test_degenerate_exits_four_with_gap(self, capsys, tmp_path):
         mat_path = tmp_path / "eye.csv"
         save_matrix_csv(mat_path, DenseMatrix(np.eye(3)))
@@ -325,6 +337,14 @@ class TestShapley:
         )
         assert code == 0
         assert "err_bound" in out
+
+    def test_non_finite_value_exits_2_naming_the_line(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0,0\n1,nan\n")
+        code, out, err = run(capsys, "shapley", "--game", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:2: " in err
 
 
 class TestParserContract:

@@ -331,3 +331,14 @@ class TestSignalCsv:
         path.write_text(text)
         assert cli.main(["fourier", "--signal", str(path), "--bound"]) == 2
         assert f"{path}:{lineno}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header", ["# dx=nan", "# dx=inf", "# dx=abc"], ids=["nan", "inf", "abc"]
+    )
+    def test_bad_spacing_exits_2_naming_line_1(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1\n2\n")
+        assert cli.main(["fourier", "--signal", str(path), "--bound"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:1: " in captured.err

@@ -318,13 +318,49 @@ class TestArticulationBound:
         assert res.bound == pytest.approx(4.0)  # (1+1) * (1+1)
         assert res.bound == pytest.approx(dag_bound(g).bound)
 
-    def test_never_exceeds_dag_bound(self):
+    def test_equals_dag_bound_and_path_enumeration(self):
+        # dyadic constants: both sides are exact, so they agree bit for bit
         rng = np.random.default_rng(31)
         for _ in range(20):
-            g, _ = random_dag(rng)
-            dp = dag_bound(g).bound
-            art = articulation_bound(g).bound
-            assert art <= dp + 1e-12 * max(1.0, dp)
+            g, lips = random_dag(rng)
+            expect = enumerate_path_sum(list(g.nodes), list(g.digraph.edges), lips, "s", "t")
+            assert articulation_bound(g).bound == dag_bound(g).bound == expect
+
+    def test_subdag_bounds_match_segment_enumeration(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            g, lips = random_dag(rng)
+            res = articulation_bound(g)
+            anchors = ["s"] + res.cut_vertices + ["t"]
+            assert len(res.subdag_bounds) == len(anchors) - 1
+            for start, end, val in zip(anchors, anchors[1:], res.subdag_bounds):
+                # a segment excludes both endpoints, except the sink closing the last one
+                seg_lips = lips if end == "t" else dict(lips, **{end: 1.0})
+                expect = enumerate_path_sum(
+                    list(g.nodes), list(g.digraph.edges), seg_lips, start, end
+                )
+                assert val == expect
+
+    def test_single_node_graph(self):
+        g = NetworkGraph([Node("s", "input")], [], source="s", sink="s")
+        res = articulation_bound(g)
+        assert res.cut_vertices == []
+        assert res.subdag_bounds == [1.0]
+        assert res.bound == dag_bound(g).bound == 1.0
+
+    def test_long_residual_chain(self):
+        # 1000 residual blocks (2001 nodes); every merge but the sink is a cut
+        lips, edges, prev = {}, [], "s"
+        for i in range(1000):
+            a, m = f"a{i}", f"m{i}"
+            lips[a], lips[m] = 1.0, 0.5
+            edges += [(prev, a), (prev, m), (a, m)]
+            prev = m
+        g = scalar_graph(lips, edges, "s", prev)
+        res = articulation_bound(g)
+        assert res.cut_vertices == [f"m{i}" for i in range(999)]
+        assert res.subdag_bounds == [2.0] * 999 + [1.0]
+        assert res.bound == dag_bound(g).bound == 1.0
 
 
 class TestResidualAndAlgebra:

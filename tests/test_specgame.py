@@ -109,6 +109,11 @@ class TestCoalitionGame:
         with pytest.raises(ValueError):
             CoalitionGame(3, np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CoalitionGame(1, [0.0, bad])
+
     def test_from_callback(self):
         g = CoalitionGame.from_callback(lambda m: float(m), 2)
         np.testing.assert_array_equal(g.values, [0.0, 1.0, 2.0, 3.0])
