@@ -66,14 +66,15 @@ def shapley_accumulate(values, weights, popcounts, n_players):
 
 
 def em_path(theta0, drift, sqrt_cov, dt, noise_scale, noise):
-    """Single Euler-Maruyama path with constant drift; returns (steps+1, d)."""
+    """Single Euler-Maruyama path with drift vector ``drift(x)`` at the
+    current state x (which the callable must not modify); returns (steps+1, d)."""
     steps = noise.shape[0]
     d = theta0.shape[0]
     traj = np.empty((steps + 1, d))
     traj[0] = theta0
     x = theta0.copy()
     for t in range(steps):
-        x = x - drift * dt + noise_scale * (sqrt_cov @ noise[t])
+        x = x - drift(x) * dt + noise_scale * (sqrt_cov @ noise[t])
         traj[t + 1] = x
     return traj
 

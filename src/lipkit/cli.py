@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -339,8 +340,18 @@ def cmd_shapley(args):
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads any token that starts like a negative number (``-2,1``,
+    ``-1e-3``) as a value, so ``--band-center -2,1`` works like
+    ``--band-center=-2,1``. No lipkit option starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lipkit",
         description="Certified Lipschitz bounds and spectral calculus toolkit",
     )

@@ -17,13 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import NotPSD
 from .matcore import DenseMatrix, SvdTriple, full_svd, vec
-from .svdcalc import (
-    _require_gap,
-    _require_index,
-    sv_hessian_apply,
-    sv_hessian_contract,
-    sv_jacobian,
-)
+from .svdcalc import _require_simple, sv_hessian_apply, sv_hessian_contract, sv_jacobian
 
 
 def _psd_sqrt(cov: np.ndarray, floor: float = -1e-10) -> np.ndarray:
@@ -41,8 +35,7 @@ def _psd_sqrt(cov: np.ndarray, floor: float = -1e-10) -> np.ndarray:
 def _top_simple_svd(theta: DenseMatrix) -> SvdTriple:
     """SVD of theta, checked for a simple, nonzero sigma_1."""
     svd = full_svd(theta)
-    _require_index(1, svd.rank)
-    _require_gap(svd.singulars, 1)
+    _require_simple(svd.singulars, 1, svd.rank)
     return svd
 
 
@@ -172,7 +165,7 @@ def euler_maruyama(
     Returns the trajectory as a list of DenseMatrix: the start, every
     store_every-th step, and the final step. ``drift_fn`` maps the current
     DenseMatrix to a gradient vector; when absent the state's constant
-    gradient is used (and the stepping runs in ``_kernels.em_path``).
+    gradient is used. The stepping runs in ``_kernels.em_path``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -185,19 +178,13 @@ def euler_maruyama(
     rng = _stream(seed)
     noise = rng.standard_normal((steps, d))
     scale = math.sqrt(state.eta * dt)
-    theta0 = vec(state.theta).copy()
-    if drift_fn is None:
-        traj = _kernels.em_path(
-            theta0, np.asarray(state.grad), state.sqrt_cov, dt, scale, noise
-        )
-    else:
-        traj = np.empty((steps + 1, d))
-        traj[0] = theta0
-        x = theta0.copy()
-        for t in range(steps):
-            g = np.asarray(drift_fn(DenseMatrix.from_flat(m, n, x)), dtype=np.float64)
-            x = x - g.reshape(-1) * dt + scale * (state.sqrt_cov @ noise[t])
-            traj[t + 1] = x
+
+    def drift(x):
+        if drift_fn is None:
+            return state.grad
+        return np.asarray(drift_fn(DenseMatrix.from_flat(m, n, x)), dtype=np.float64).reshape(-1)
+
+    traj = _kernels.em_path(vec(state.theta), drift, state.sqrt_cov, dt, scale, noise)
     return [DenseMatrix.from_flat(m, n, traj[t]) for t in stored_steps(steps, store_every)]
 
 

@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +107,7 @@ class SvdTriple:
     ``left`` is m x m, ``right`` is n x n, ``singulars`` has length
     min(m, n) sorted nonincreasing. ``rank`` counts singular values above
     rank_tol * sigma_1; ``min_gap`` is the smallest |s_i - s_j| over
-    pairs of retained singular values.
+    pairs of retained singular values (inf when fewer than two are).
     """
 
     left: DenseMatrix
@@ -190,11 +191,8 @@ def full_svd(m: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdTriple:
         raise NonConvergence(f"SVD failed to converge on {m.rows}x{m.cols} input") from exc
     u, vt = _fix_signs(np.ascontiguousarray(u), np.ascontiguousarray(vt))
     rank = _numerical_rank(s, rank_tol)
-    if s.size >= 2:
-        diffs = np.abs(np.subtract.outer(s, s))
-        min_gap = float(diffs[np.triu_indices(s.size, k=1)].min())
-    else:
-        min_gap = float("inf")
+    # s is sorted, so the closest pair of retained values is adjacent
+    min_gap = float(np.min(np.abs(np.diff(s[:rank])))) if rank >= 2 else float("inf")
     return SvdTriple(
         left=DenseMatrix(u),
         singulars=s,
@@ -240,6 +238,8 @@ def _number_rows(path, lines, start=1, width=None):
             row = [float(tok) for tok in fields]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: not a comma-separated number row") from exc
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: entries must be finite")
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import networkx as nx
 import numpy as np
+from scipy.special import lambertw
 
 from .activations import ActivationSpec, closed_form_lipschitz, softmax_jacobian
 from .errors import (
@@ -262,30 +263,12 @@ def lip_algebra(op: str, lips, p: float = 2.0) -> float:
     raise ValueError(f"unknown op {op!r}")
 
 
-def phi_inverse(y: float, tol: float = 1e-12) -> float:
-    """Inverse of phi(x) = x * exp(x + 1) on x >= 0, by bracketed Newton."""
+def phi_inverse(y: float) -> float:
+    """Inverse of phi(x) = x * exp(x + 1) on x >= 0: x = W(y / e), the
+    principal branch of the Lambert W function."""
     if y < 0:
         raise NonBracketable(f"phi inverse undefined for negative input {y}")
-    if y == 0:
-        return 0.0
-    lo, hi = 0.0, max(1.0, math.log1p(y))
-    while hi * math.exp(hi + 1.0) < y:  # defensive; analytic bracket suffices
-        hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = x * math.exp(x + 1.0) - y
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        step = f / (math.exp(x + 1.0) * (1.0 + x))
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < tol:
-            return x_new
-        x = x_new
-    return x
+    return float(lambertw(y / math.e).real)
 
 
 def _get(params, key, kind):

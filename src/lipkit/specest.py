@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.stats
 
 from . import _kernels
@@ -193,28 +194,14 @@ def cayley_orthogonal(b: DenseMatrix, skew_tol: float = 1e-10) -> DenseMatrix:
 
 
 def expmap_orthogonal(w: DenseMatrix) -> DenseMatrix:
-    """exp(W - W^T) by scaling-and-squaring on the truncated power series.
+    """exp(W - W^T) (scipy's Pade scaling-and-squaring ``expm``).
 
     The antisymmetric part generates a rotation, so the result is orthogonal
     with determinant +1.
     """
     if w.rows != w.cols:
         raise ValueError(f"expected square input, got {w.rows}x{w.cols}")
-    b = w.array - w.array.T
-    n = w.rows
-    norm = np.linalg.norm(b)
-    squarings = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    bs = b / (2.0**squarings)
-    acc = np.eye(n)
-    term = np.eye(n)
-    for q in range(1, 60):
-        term = term @ bs / q
-        acc = acc + term
-        if np.linalg.norm(term) < 1e-16:
-            break
-    for _ in range(squarings):
-        acc = acc @ acc
-    return DenseMatrix(acc)
+    return DenseMatrix(scipy.linalg.expm(w.array - w.array.T))
 
 
 class SemiOrthogonality(NamedTuple):

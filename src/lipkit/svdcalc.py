@@ -10,7 +10,6 @@ All singular-value indices k are 1-based: sigma(1) is the largest.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +23,14 @@ MAX_EXPANSION_ORDER = 6
 MAX_HESSIAN_BYTES = 1 << 28
 
 
-def _require_index(k: int, rank: int):
+def _require_simple(s: np.ndarray, k: int, rank: int):
+    """sigma_k must be nonzero (k in 1..rank) and sit more than
+    GAP_TOL_REL * sigma_1 from every other singular value in ``s``."""
     if not 1 <= k <= rank:
         raise ZeroSingular(
             f"k={k} outside 1..rank={rank}; derivative has 1/sigma_k terms"
         )
-
-
-def _require_gap(s: np.ndarray, k: int):
-    """sigma_k must sit more than GAP_TOL_REL * sigma_1 from every other
-    singular value in ``s`` (the full spectrum, zeros included)."""
-    tol = GAP_TOL_REL * (s[0] if s.size else 0.0)
+    tol = GAP_TOL_REL * s[0]
     others = np.delete(s, k - 1)
     if others.size:
         gap = float(np.min(np.abs(others - s[k - 1])))
@@ -46,8 +42,7 @@ def _require_gap(s: np.ndarray, k: int):
 
 def sv_jacobian(svd: SvdTriple, k: int) -> DenseMatrix:
     """d sigma_k / dA = u_k v_k^T, valid for simple sigma_k > 0."""
-    _require_index(k, svd.rank)
-    _require_gap(svd.singulars, k)
+    _require_simple(svd.singulars, k, svd.rank)
     return DenseMatrix(np.outer(svd.u(k), svd.v(k)))
 
 
@@ -81,20 +76,17 @@ def _hessian_weights(svd: SvdTriple, k: int):
     1/sigma_k null-space terms), and c_l = sigma_l / (sigma_k^2 - sigma_l^2)
     over the nonzero spectrum l <= rank. The i = j = l = k weights are 0.
     """
-    _require_index(k, svd.rank)
-    _require_gap(svd.singulars, k)
+    _require_simple(svd.singulars, k, svd.rank)
     m, n, r = svd.rows, svd.cols, svd.rank
     sk = svd.sigma(k)
-    if r >= 2:
-        # the denominators run over the whole spectrum, so every pair of
-        # nonzero singular values must be separated
-        tol = GAP_TOL_REL * svd.singulars[0]
-        pair_gap = float(np.min(np.abs(np.diff(svd.singulars[:r]))))
-        if pair_gap <= tol:
-            raise DegenerateSpectrum(
-                f"nonzero singular values within {pair_gap:.3e} (tol {tol:.3e})",
-                gap=pair_gap,
-            )
+    # the denominators run over the whole spectrum, so every pair of
+    # nonzero singular values must be separated
+    tol = GAP_TOL_REL * svd.singulars[0]
+    if svd.min_gap <= tol:
+        raise DegenerateSpectrum(
+            f"nonzero singular values within {svd.min_gap:.3e} (tol {tol:.3e})",
+            gap=svd.min_gap,
+        )
     s = np.zeros(max(m, n))
     s[:r] = svd.singulars[:r]
     den = sk**2 - s**2
@@ -245,8 +237,7 @@ def reduced_resolvent(jw: JordanWielandt, k: int) -> ReducedResolvent:
     branch (whose i = k term carries weight -1/(2 sigma_k)), and the two
     null groups with weight -1/sigma_k.
     """
-    _require_index(k, jw.sigmas.size)
-    _require_gap(jw.sigmas, k)
+    _require_simple(jw.sigmas, k, jw.sigmas.size)
     sk = jw.sigmas[k - 1]
     others = np.arange(jw.sigmas.size) != k - 1
     n_null = jw.left_null.shape[1] + jw.right_null.shape[1]
@@ -283,23 +274,13 @@ class PerturbationSeries:
         return DenseMatrix(acc)
 
 
-def _compositions_positive(n, p):
-    """Ordered tuples of p positive integers summing to n."""
-    if p == 1:
-        yield (n,)
-        return
-    for first in range(1, n - p + 2):
-        for rest in _compositions_positive(n - first, p - 1):
-            yield (first,) + rest
-
-
-def _compositions_nonneg(n, p):
+def _compositions(n, p):
     """Ordered tuples of p nonnegative integers summing to n."""
     if p == 1:
         yield (n,)
         return
     for first in range(n + 1):
-        for rest in _compositions_nonneg(n - first, p - 1):
+        for rest in _compositions(n - first, p - 1):
             yield (first,) + rest
 
 
@@ -325,10 +306,7 @@ def sv_expansion_coeff(
         raise ValueError("order must be >= 1")
     if n > max_order:
         raise OrderOverflow(f"order {n} exceeds configured maximum {max_order}")
-    svd = full_svd(series.base)
-    _require_index(k, svd.rank)
-    _require_gap(svd.singulars, k)
-    jw = jordan_wielandt(svd)
+    jw = jordan_wielandt(full_svd(series.base))
     s_mat = reduced_resolvent(jw, k).matrix.array
     w = jw.pos_eigvecs[:, k - 1]
     dim = s_mat.shape[0]
@@ -340,15 +318,41 @@ def sv_expansion_coeff(
     embedded = {j: embed(t).array for j, t in enumerate(series.terms, start=1)}
     total = 0.0
     for p in range(1, n + 1):
-        for orders in _compositions_positive(n, p):
+        for parts in _compositions(n - p, p):
+            orders = [part + 1 for part in parts]  # p positive orders summing to n
             if any(idx not in embedded for idx in orders):
                 continue  # missing term means T^(j) = 0: the trace vanishes
-            for exps in _compositions_nonneg(p - 1, p):
+            for exps in _compositions(p - 1, p):
                 chain = np.eye(dim)
                 for order, exp in zip(orders, exps):
                     chain = chain @ embedded[order] @ s_pow[exp]
                 total += ((-1.0) ** p / p) * float(np.trace(chain))
     return total
+
+
+def _column_bumps(a: DenseMatrix, step: float, compute_uv: bool):
+    """Yield (j, svd_up, svd_down) for each column j of A: the stacked
+    ``np.linalg.svd`` results of the m matrices A + step e_i e_j^T and of
+    the m matrices A - step e_i e_j^T, i = 0..m-1.
+
+    Every bumped matrix gets its own SVD; a column at a time bounds the
+    working memory to O(m (mn + m^2 + n^2)).
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    m, n = a.shape
+    rows = np.arange(m)
+    for j in range(n):
+        up = np.repeat(a.array[None], m, axis=0)
+        up[rows, rows, j] += step
+        down = up.copy()
+        down[rows, rows, j] -= 2 * step
+        try:
+            svd_up = np.linalg.svd(up, compute_uv=compute_uv)
+            svd_down = np.linalg.svd(down, compute_uv=compute_uv)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"SVD failed to converge on a bumped {m}x{n} input") from exc
+        yield j, svd_up, svd_down
 
 
 def fd_gradient_oracle(a: DenseMatrix, k: int, step: float = 1e-6) -> DenseMatrix:
@@ -357,20 +361,12 @@ def fd_gradient_oracle(a: DenseMatrix, k: int, step: float = 1e-6) -> DenseMatri
     Independent of the closed forms above; values are untrustworthy near
     singular-value crossings (the caller is expected to gate on the gap).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    m, n = a.rows, a.cols
+    m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} outside 1..min(m,n)={min(m, n)}")
-    base = np.array(a.array)
     out = np.empty((m, n))
-    for i, j in itertools.product(range(m), range(n)):
-        bumped = base.copy()
-        bumped[i, j] += step
-        up = np.linalg.svd(bumped, compute_uv=False)[k - 1]
-        bumped[i, j] -= 2 * step
-        down = np.linalg.svd(bumped, compute_uv=False)[k - 1]
-        out[i, j] = (up - down) / (2 * step)
+    for j, s_up, s_dn in _column_bumps(a, step, compute_uv=False):
+        out[:, j] = (s_up[:, k - 1] - s_dn[:, k - 1]) / (2 * step)
     return DenseMatrix(out)
 
 
@@ -379,31 +375,17 @@ def fd_hessian_oracle(a: DenseMatrix, k: int, step: float = 1e-5) -> DenseMatrix
     the column-major vec layout (mn x mn).
 
     Independent of the closed-form Hessian: every one of the 2mn bumped
-    matrices gets its own SVD. They are taken as stacked SVDs of the m
-    bumps of one column of A at a time, which bounds the working memory
-    to O(m (mn + m^2 + n^2)) beside the result. Each bumped spectrum must
-    pass the Jacobian's own checks: ZeroSingular when k exceeds its rank,
-    DegenerateSpectrum when sigma_k is within GAP_TOL_REL * sigma_1 of
-    another singular value.
+    matrices gets its own SVD (see :func:`_column_bumps`). Each bumped
+    spectrum must pass the Jacobian's own checks: ZeroSingular when k
+    exceeds its rank, DegenerateSpectrum when sigma_k is within
+    GAP_TOL_REL * sigma_1 of another singular value.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     m, n = a.shape
     out = np.empty((m * n, m * n), order="F")
-    rows = np.arange(m)
-    for j in range(n):
-        up = np.repeat(a.array[None], m, axis=0)
-        up[rows, rows, j] += step
-        down = up.copy()
-        down[rows, rows, j] -= 2 * step
-        try:
-            (u_up, s_up, vt_up), (u_dn, s_dn, vt_dn) = np.linalg.svd(up), np.linalg.svd(down)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"SVD failed to converge on a bumped {m}x{n} input") from exc
-        for i in rows:
-            for s in (s_up[i], s_dn[i]):
-                _require_index(k, _numerical_rank(s))
-                _require_gap(s, k)
+    for j, (u_up, s_up, vt_up), (u_dn, s_dn, vt_dn) in _column_bumps(a, step, compute_uv=True):
+        for pair in zip(s_up, s_dn):
+            for s in pair:
+                _require_simple(s, k, _numerical_rank(s))
         j_up = u_up[:, :, k - 1, None] * vt_up[:, None, k - 1, :]
         j_dn = u_dn[:, :, k - 1, None] * vt_dn[:, None, k - 1, :]
         diff = (j_up - j_dn) / (2 * step)

@@ -274,6 +274,20 @@ class TestFourier:
         code, _, err = run(capsys, "fourier", "--signal", gauss_csv)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--band-center", "-2,1", "--band-radius", "0.1"),
+            ("--direction", "-0.6,0.8", "--t", "-1,0,1"),
+        ],
+        ids=["band-center", "direction-t"],
+    )
+    def test_negative_vector_after_a_space(self, capsys, gauss_csv, flags):
+        eq_form = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+        expect = run(capsys, "fourier", "--signal", gauss_csv, *eq_form)
+        assert expect[0] == 0
+        assert run(capsys, "fourier", "--signal", gauss_csv, *flags) == expect
+
 
 class TestDynamics:
     def test_forces_and_trajectory(self, capsys, tmp_path):
@@ -345,6 +359,23 @@ class TestShapley:
         assert code == 2
         assert out == ""
         assert f"{path}:2: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["svd-deriv", "--k", "1", "--order", "1", "--matrix"], "1,2\n3,4\nnan,5\n"),
+        (["fourier", "--bound", "--signal"], "# dx=1\n1\n-inf\n"),
+    ],
+    ids=["matrix", "signal"],
+)
+def test_non_finite_entry_exits_2_naming_the_line(capsys, tmp_path, argv, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}:3: " in err
 
 
 class TestParserContract:

@@ -193,7 +193,21 @@ class TestEulerMaruyama:
         a = euler_maruyama(state, dt=0.01, steps=20, seed=3)
         b = euler_maruyama(state, dt=0.01, steps=20, seed=3, drift_fn=lambda theta: g)
         for ta, tb in zip(a, b):
-            np.testing.assert_allclose(ta.array, tb.array, atol=1e-14)
+            assert np.array_equal(ta.array, tb.array)
+
+    def test_state_dependent_drift_matches_step_loop(self, rng):
+        state = make_state(rng, eta=1e-4)
+        dt, steps, seed = 0.01, 20, 4
+        traj = euler_maruyama(state, dt, steps, seed=seed, drift_fn=lambda theta: 0.5 * vec(theta))
+        noise = dynamics._stream(seed).standard_normal((steps, traj[0].rows * traj[0].cols))
+        x = vec(state.theta)
+        expect = [x]
+        for t in range(steps):
+            x = x - 0.5 * x * dt + math.sqrt(state.eta * dt) * (state.sqrt_cov @ noise[t])
+            expect.append(x)
+        assert len(traj) == steps + 1
+        for theta, x in zip(traj, expect):
+            np.testing.assert_array_equal(vec(theta), x)
 
     def test_store_every_decimation(self, rng):
         state = make_state(rng, eta=1e-4)

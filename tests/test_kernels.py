@@ -64,7 +64,7 @@ def test_em_path_matches_cumulative_sum(rng):
     steps = np.cumsum(-drift * dt + scale * noise @ sqrt_cov.T, axis=0)
     expect = np.vstack([theta, theta + steps])
     np.testing.assert_allclose(
-        _kernels.em_path(theta, drift, sqrt_cov, dt, scale, noise), expect, atol=1e-13
+        _kernels.em_path(theta, lambda x: drift, sqrt_cov, dt, scale, noise), expect, atol=1e-13
     )
 
 

@@ -98,6 +98,11 @@ class TestFullSvd:
         assert svd.rank == 2
         assert svd.min_gap == pytest.approx(2.0)
 
+    def test_min_gap_over_retained_values(self):
+        # the zeros fall below the rank tolerance, so 3 - 1 is the only pair
+        assert full_svd(DenseMatrix(np.diag([3.0, 1.0, 0.0, 0.0]))).min_gap == 2.0
+        assert full_svd(DenseMatrix(np.diag([3.0, 0.0]))).min_gap == np.inf
+
     def test_zero_matrix(self):
         svd = full_svd(DenseMatrix(np.zeros((2, 3))))
         np.testing.assert_allclose(svd.singulars, [0.0, 0.0])

@@ -457,7 +457,7 @@ class TestAttentionBounds:
         assert phi_inverse(0.0) == 0.0
         for y in (0.3, 1.0, 9.0, 1e4):
             x = phi_inverse(y)
-            assert x * math.exp(x + 1.0) == pytest.approx(y, rel=1e-11)
+            assert x * math.exp(x + 1.0) == pytest.approx(y, rel=1e-14)
         with pytest.raises(NonBracketable):
             phi_inverse(-1.0)
 

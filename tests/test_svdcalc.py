@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,22 @@ from lipkit.svdcalc import (
 )
 
 from conftest import random_matrix_with_spectrum
+
+
+def fd_gradient_loop(a: DenseMatrix, k: int, step: float = 1e-6) -> np.ndarray:
+    """Entrywise central differences of sigma_k, one np.linalg.svd per
+    bumped matrix. The reference for the column-batched fd_gradient_oracle."""
+    m, n = a.shape
+    base = np.array(a.array)
+    out = np.empty((m, n))
+    for i, j in itertools.product(range(m), range(n)):
+        bumped = base.copy()
+        bumped[i, j] += step
+        up = np.linalg.svd(bumped, compute_uv=False)[k - 1]
+        bumped[i, j] -= 2 * step
+        down = np.linalg.svd(bumped, compute_uv=False)[k - 1]
+        out[i, j] = (up - down) / (2 * step)
+    return out
 
 
 def fd_hessian_loop(a: DenseMatrix, k: int, step: float = 1e-5) -> np.ndarray:
@@ -472,3 +490,13 @@ class TestFdGradientOracle:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             fd_gradient_oracle(DenseMatrix(np.eye(2)), 1, 0.0)
+
+    @pytest.mark.parametrize(
+        "shape, sigmas",
+        [((3, 5), (3.0, 2.0, 1.0)), ((5, 3), (3.0, 2.0, 1.0)), ((4, 4), (3.0, 1.0, 0.0, 0.0))],
+        ids=["m<n", "m>n", "rank-deficient"],
+    )
+    def test_equals_per_entry_loop(self, rng, shape, sigmas):
+        a = DenseMatrix(random_matrix_with_spectrum(rng, *shape, sigmas))
+        for k in range(1, min(shape) + 1):
+            np.testing.assert_array_equal(fd_gradient_oracle(a, k).array, fd_gradient_loop(a, k))
