@@ -16,57 +16,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
 from . import activations, dynamics, fourlip, netbounds, specgame, svdcalc
-from .errors import (
-    CycleDetected,
-    DegenerateSpectrum,
-    GraphInvalid,
-    LipkitError,
-    NotAPath,
-    UnknownActivation,
-    ZeroSingular,
-)
-from .matcore import DenseMatrix, full_svd, load_matrix_csv, matrix_csv_lines
+from .errors import LipkitError
+from .matcore import full_svd, load_matrix_csv, matrix_csv_lines, vec
 
-EXIT_PARSE = 2
-EXIT_GRAPH = 3
-EXIT_DEGENERATE = 4
-EXIT_NUMERIC = 5
+# stderr prefix for each exit code; the code comes from the error class
+_LABELS = {2: "error", 3: "graph error", 4: "degenerate spectrum", 5: "numeric error"}
 
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
-# ---------------------------------------------------------------------------
-# network JSON
-# ---------------------------------------------------------------------------
-
-def _activation_from_json(value, node_id):
-    if isinstance(value, str):
-        return activations.make_activation(value)
-    if isinstance(value, dict):
-        try:
-            return activations.make_activation(
-                value["name"],
-                alpha=float(value.get("alpha", 1.0)),
-                dim=int(value.get("dim", 0)),
-            )
-        except KeyError:
-            raise CliError(f"node {node_id!r}: activation object needs a 'name'", EXIT_PARSE)
-    raise CliError(f"node {node_id!r}: activation must be a name or object", EXIT_PARSE)
 
 
 def load_network_json(path) -> netbounds.NetworkGraph:
@@ -74,72 +39,10 @@ def load_network_json(path) -> netbounds.NetworkGraph:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}", EXIT_PARSE)
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except OSError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PARSE)
-
-    matrices = {}
-    for ref, spec in (doc.get("matrices") or {}).items():
-        for key in ("rows", "cols", "data"):
-            if key not in spec:
-                raise CliError(f"matrix {ref!r}: missing field {key!r}", EXIT_PARSE)
-        try:
-            matrices[ref] = DenseMatrix.from_flat(
-                int(spec["rows"]), int(spec["cols"]), spec["data"]
-            )
-        except ValueError as exc:
-            raise CliError(f"matrix {ref!r}: {exc}", EXIT_PARSE)
-
-    def resolve(node_id, value):
-        if isinstance(value, str):
-            if value not in matrices:
-                raise CliError(
-                    f"node {node_id!r}: parameter matrix {value!r} not in 'matrices'",
-                    EXIT_PARSE,
-                )
-            return matrices[value]
-        return value
-
-    nodes = []
-    for entry in doc.get("nodes", []):
-        if "id" not in entry or "kind" not in entry:
-            raise CliError("every node needs 'id' and 'kind' fields", EXIT_PARSE)
-        nid, kind = entry["id"], entry["kind"]
-        kwargs = {}
-        if kind == "linear":
-            kwargs["weight_ref"] = entry.get("weight_ref")
-        elif kind == "activation":
-            kwargs["activation"] = _activation_from_json(entry.get("activation"), nid)
-        elif kind == "scalar_lip":
-            kwargs["lip"] = entry.get("lip")
-        elif kind == "residual_group":
-            kwargs["inner_lip"] = entry.get("inner_lip")
-        elif kind == "attention":
-            kwargs["attention_kind"] = entry.get("attention_kind")
-            params = dict(entry.get("params") or {})
-            if "heads" in params:
-                params["heads"] = [
-                    (resolve(nid, q), resolve(nid, v)) for q, v in params["heads"]
-                ]
-            params = {k: resolve(nid, v) for k, v in params.items()}
-            kwargs["attention_params"] = params
-        try:
-            nodes.append(netbounds.Node(id=nid, kind=kind, **kwargs))
-        except (GraphInvalid, UnknownActivation) as exc:
-            raise CliError(str(exc), EXIT_PARSE)
-
-    try:
-        return netbounds.NetworkGraph(
-            nodes,
-            [tuple(e) for e in doc.get("edges", [])],
-            matrices=matrices,
-            source=doc.get("source"),
-            sink=doc.get("sink"),
-        )
-    except CycleDetected:
-        raise
-    except GraphInvalid as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+        raise ValueError(f"{path}: {exc}") from None
+    return netbounds.graph_from_doc(doc)
 
 
 def cmd_bound(args):
@@ -225,7 +128,7 @@ def _parse_vector(text, label):
     try:
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError:
-        raise CliError(f"--{label}: expected comma-separated numbers, got {text!r}", EXIT_PARSE)
+        raise ValueError(f"--{label}: expected comma-separated numbers, got {text!r}") from None
 
 
 def cmd_fourier(args):
@@ -238,7 +141,7 @@ def cmd_fourier(args):
     if args.band_center is not None:
         center = _parse_vector(args.band_center, "band-center")
         if args.band_radius is None:
-            raise CliError("--band-center needs --band-radius", EXIT_PARSE)
+            raise ValueError("--band-center needs --band-radius")
         perturbed, eps = fourlip.band_remove(sig, center, args.band_radius)
         bound = fourlip.band_bound(sig, center, args.band_radius, eps)
         sup = float(np.max(np.abs(sig.samples - perturbed.samples)))
@@ -269,7 +172,7 @@ def cmd_fourier(args):
             print(f"t={_fmt(t)} re={_fmt(v.real)} im={_fmt(v.imag)}")
         did = True
     if not did:
-        raise CliError("nothing to do: pass --bound, --band-center, --esd or --direction", EXIT_PARSE)
+        raise ValueError("nothing to do: pass --bound, --band-center, --esd or --direction")
     if args.out and rows is not None:
         with open(args.out, "w") as fh:
             fh.write("ring_index,value\n")
@@ -282,14 +185,11 @@ def cmd_dynamics(args):
     theta = load_matrix_csv(args.matrix)
     grad_mat = load_matrix_csv(args.grad)
     if grad_mat.shape != theta.shape:
-        raise CliError(
-            f"--grad shape {grad_mat.shape} must match --matrix shape {theta.shape}",
-            EXIT_PARSE,
+        raise ValueError(
+            f"--grad shape {grad_mat.shape} must match --matrix shape {theta.shape}"
         )
     cov = load_matrix_csv(args.cov)
-    from .matcore import vec as _vec
-
-    state = dynamics.LayerDynamicsState.create(theta, _vec(grad_mat), cov, args.eta)
+    state = dynamics.LayerDynamicsState.create(theta, vec(grad_mat), cov, args.eta)
     forces = dynamics.driving_forces(state)
     print(f"sigma1 = {_fmt(state.sigma1)}")
     print(f"mu = {_fmt(forces.mu)}")
@@ -423,28 +323,24 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (CycleDetected, NotAPath) as exc:
-        print(f"graph error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH
-    except (DegenerateSpectrum, ZeroSingular) as exc:
-        msg = f"degenerate spectrum: {exc}"
-        if isinstance(exc, DegenerateSpectrum) and exc.gap is not None:
-            msg += f" (gap = {exc.gap:.6e})"
-        print(msg, file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except LipkitError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    args = build_parser().parse_args(argv)
+    failure = None
+    # library warnings become one "warning: ..." line each, after the command
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.fn(args)
+        except (LipkitError, ArithmeticError, ValueError, OSError) as exc:
+            # a library error carries its code; of the builtins, an overflow
+            # or division by zero is a numeric failure, the rest bad input
+            code = getattr(exc, "exit_code", 5 if isinstance(exc, ArithmeticError) else 2)
+            failure = f"{_LABELS[code]}: {exc}"
+            if getattr(exc, "gap", None) is not None:
+                failure += f" (gap = {exc.gap:.6e})"
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,21 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+Each class carries the command-line exit code for its failure (PAPER.md):
+2 parse/validation (``InvalidInput`` and its subclasses), 3 graph
+structure, 4 degenerate spectrum, 5 other numeric failure (the default).
+"""
 
 
 class LipkitError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 5
+
+
+class InvalidInput(LipkitError):
+    """Input rejected by validation: malformed, out of range or inconsistent."""
+
+    exit_code = 2
 
 
 class NonConvergence(LipkitError):
@@ -12,6 +25,8 @@ class NonConvergence(LipkitError):
 class DegenerateSpectrum(LipkitError):
     """Singular values too close for the requested derivative to be defined."""
 
+    exit_code = 4
+
     def __init__(self, message, gap=None):
         super().__init__(message)
         self.gap = gap
@@ -20,48 +35,54 @@ class DegenerateSpectrum(LipkitError):
 class ZeroSingular(LipkitError):
     """Requested quantity involves 1/sigma_k terms with sigma_k = 0."""
 
+    exit_code = 4
 
-class OrderOverflow(LipkitError):
+
+class OrderOverflow(InvalidInput):
     """Expansion order above the configured maximum."""
 
 
-class NotSkew(LipkitError):
+class NotSkew(InvalidInput):
     """Matrix is not skew-symmetric within tolerance."""
 
 
-class NotSimplex(LipkitError):
+class NotSimplex(InvalidInput):
     """Vector is not a probability vector."""
 
 
-class UnknownActivation(LipkitError):
+class UnknownActivation(InvalidInput):
     """Activation name not in the supported table."""
 
 
-class UnknownNode(LipkitError):
+class UnknownNode(InvalidInput):
     """Node id not present in the graph."""
 
 
 class NotAPath(LipkitError):
     """Node sequence is not a directed path of the graph."""
 
+    exit_code = 3
+
 
 class CycleDetected(LipkitError):
     """Graph is not acyclic."""
 
+    exit_code = 3
 
-class GraphInvalid(LipkitError):
+
+class GraphInvalid(InvalidInput):
     """Graph violates a structural invariant other than acyclicity."""
 
 
-class InvalidParams(LipkitError):
+class InvalidParams(InvalidInput):
     """Attention-bound parameter set malformed (missing key or shape mismatch)."""
 
 
-class NonBracketable(LipkitError):
+class NonBracketable(InvalidInput):
     """Root of x*exp(x+1) = y requested for y < 0."""
 
 
-class LengthMismatch(LipkitError):
+class LengthMismatch(InvalidInput):
     """Paired vectors have different lengths."""
 
 
@@ -69,29 +90,29 @@ class CallbackFailure(LipkitError):
     """A user-supplied callback raised; original exception attached as __cause__."""
 
 
-class NotUnit(LipkitError):
+class NotUnit(InvalidInput):
     """Direction vector is not unit norm."""
 
 
-class EmptyBand(LipkitError):
+class EmptyBand(InvalidInput):
     """No spectrum bin falls inside the requested frequency ball."""
 
 
-class GridMismatch(LipkitError):
+class GridMismatch(InvalidInput):
     """Two signals do not share grid shape and spacing."""
 
 
-class NotPSD(LipkitError):
+class NotPSD(InvalidInput):
     """Matrix expected to be positive semidefinite is not."""
 
 
-class PlayerCountTooLarge(LipkitError):
+class PlayerCountTooLarge(InvalidInput):
     """Exact Shapley mode limited to 16 players."""
 
 
-class DegenerateWeights(LipkitError):
+class DegenerateWeights(InvalidInput):
     """Importance-score weights are all zero (or player count < 2)."""
 
 
-class NegativeShapley(LipkitError):
+class NegativeShapley(InvalidInput):
     """Importance-score normalization needs nonnegative Shapley values."""

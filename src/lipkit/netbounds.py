@@ -12,6 +12,7 @@ alignment refinement, and margin-based certified radii.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +20,12 @@ import networkx as nx
 import numpy as np
 from scipy.special import lambertw
 
-from .activations import ActivationSpec, closed_form_lipschitz, softmax_jacobian
+from .activations import (
+    ActivationSpec,
+    closed_form_lipschitz,
+    make_activation,
+    softmax_jacobian,
+)
 from .errors import (
     CycleDetected,
     GraphInvalid,
@@ -107,6 +113,106 @@ class NetworkGraph:
             return self.nodes[node_id]
         except KeyError:
             raise UnknownNode(f"no node {node_id!r}") from None
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a finite number"}
+
+
+def _typed(value, kind, where, field):
+    """``value`` if it has JSON type ``kind`` (``float``: any finite number,
+    returned as a float), else GraphInvalid naming ``where`` and ``field``."""
+    if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+        if kind is not float:
+            return value
+        if abs(value) <= sys.float_info.max:  # no NaN, inf or int beyond float range
+            return float(value)
+    raise GraphInvalid(f"{where}: {field!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def _pair(value, where, field):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise GraphInvalid(f"{where}: each of {field!r} must be a pair, got {value!r}")
+    return tuple(value)
+
+
+def _activation(value, where):
+    if isinstance(value, str):
+        return make_activation(value)
+    if isinstance(value, dict):
+        if "name" not in value:
+            raise GraphInvalid(f"{where}: activation object needs a 'name'")
+        return make_activation(
+            value["name"],
+            alpha=_typed(value.get("alpha", 1.0), float, where, "alpha"),
+            dim=_typed(value.get("dim", 0), int, where, "dim"),
+        )
+    raise GraphInvalid(f"{where}: activation must be a name or object")
+
+
+def graph_from_doc(doc) -> NetworkGraph:
+    """Build the graph of a decoded network JSON document (format in the
+    README). Malformed content raises GraphInvalid naming the node or
+    matrix and the field; a directed cycle raises CycleDetected."""
+    _typed(doc, dict, "network", "document")
+    matrices = {}
+    for ref, spec in _typed(doc.get("matrices") or {}, dict, "network", "matrices").items():
+        where = f"matrix {ref!r}"
+        _typed(spec, dict, where, "matrix")
+        for key in ("rows", "cols", "data"):
+            if key not in spec:
+                raise GraphInvalid(f"{where}: missing field {key!r}")
+        rows, cols = (_typed(spec[key], int, where, key) for key in ("rows", "cols"))
+        data = _typed(spec["data"], list, where, "data")
+        try:
+            matrices[ref] = DenseMatrix.from_flat(rows, cols, data)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphInvalid(f"{where}: {exc}") from None
+
+    def resolve(where, value):
+        if isinstance(value, str):
+            if value not in matrices:
+                raise GraphInvalid(f"{where}: parameter matrix {value!r} not in 'matrices'")
+            return matrices[value]
+        return value
+
+    nodes = []
+    for entry in _typed(doc.get("nodes", []), list, "network", "nodes"):
+        if not isinstance(entry, dict):
+            raise GraphInvalid(f"every node must be an object, got {entry!r}")
+        if "id" not in entry or "kind" not in entry:
+            raise GraphInvalid("every node needs 'id' and 'kind' fields")
+        nid, kind = entry["id"], entry["kind"]
+        where = f"node {_typed(nid, str, 'node', 'id')!r}"
+        kwargs = {}
+        if kind == "linear":
+            ref = kwargs["weight_ref"] = entry.get("weight_ref")
+            if ref is not None:
+                _typed(ref, str, where, "weight_ref")
+        elif kind == "activation":
+            kwargs["activation"] = _activation(entry.get("activation"), where)
+        elif kind in ("scalar_lip", "residual_group"):
+            field = "lip" if kind == "scalar_lip" else "inner_lip"
+            if entry.get(field) is not None:
+                kwargs[field] = _typed(entry[field], float, where, field)
+        elif kind == "attention":
+            kwargs["attention_kind"] = entry.get("attention_kind")
+            params = dict(_typed(entry.get("params") or {}, dict, where, "params"))
+            if "heads" in params:
+                params["heads"] = [
+                    tuple(resolve(where, w) for w in _pair(head, where, "heads"))
+                    for head in _typed(params["heads"], list, where, "heads")
+                ]
+            kwargs["attention_params"] = {k: resolve(where, v) for k, v in params.items()}
+        nodes.append(Node(id=nid, kind=kind, **kwargs))
+
+    edges = [
+        tuple(_typed(end, str, "edge", "node id") for end in _pair(edge, "network", "edges"))
+        for edge in _typed(doc.get("edges", []), list, "network", "edges")
+    ]
+    return NetworkGraph(
+        nodes, edges, matrices=matrices, source=doc.get("source"), sink=doc.get("sink")
+    )
 
 
 def node_lipschitz(
@@ -278,9 +384,26 @@ def _get(params, key, kind):
         raise InvalidParams(f"{kind}: missing parameter {key!r}") from None
 
 
+def _number(params, key, kind, default=None):
+    """params[key] (``default`` when absent, if given) as a finite float."""
+    value = _get(params, key, kind) if default is None else params.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise InvalidParams(f"{kind}: parameter {key!r} must be a finite number, got {value!r}")
+    return number
+
+
 def _as_array(value) -> np.ndarray:
     """A DenseMatrix's array, or any other value as a float array."""
-    return value.array if isinstance(value, DenseMatrix) else np.asarray(value, dtype=float)
+    if isinstance(value, DenseMatrix):
+        return value.array
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParams(f"parameter value {value!r} is not a numeric array") from None
 
 
 def attention_bound(kind: str, params: dict) -> float:
@@ -297,10 +420,10 @@ def attention_bound(kind: str, params: dict) -> float:
     Sequence matrices x are measured in the Frobenius norm.
     """
     if kind == "hu_local":
-        n = int(_get(params, "n", kind))
-        delta = float(params.get("delta", 0.0))
+        n = int(_number(params, "n", kind))
+        delta = _number(params, "delta", kind, default=0.0)
         if "x_norm" in params:
-            x_norm = float(params["x_norm"])
+            x_norm = _number(params, "x_norm", kind)
         else:
             x_norm = float(np.linalg.norm(_as_array(_get(params, "x", kind))))
         wv, wq, wk = (
@@ -314,11 +437,13 @@ def attention_bound(kind: str, params: dict) -> float:
         if not heads:
             raise InvalidParams(f"{kind}: heads list is empty")
         w_o = _get(params, "w_o", kind)
-        n = int(_get(params, "n", kind))
-        d = float(_get(params, "d", kind))
+        n = int(_number(params, "n", kind))
+        d = _number(params, "d", kind)
         h = float(len(heads))
         if n < 1:
             raise InvalidParams(f"{kind}: sequence length must be >= 1")
+        if d <= 0:
+            raise InvalidParams(f"{kind}: model width d must be > 0")
         inv = phi_inverse(float(n - 1))
         if kind == "kim_l2":
             head_sum = sum(
@@ -345,6 +470,8 @@ def attention_bound(kind: str, params: dict) -> float:
     if kind == "yudin":
         wq, wk, wv, x = (_get(params, key, kind) for key in ("w_q", "w_k", "w_v", "x"))
         x, wq, wk = _as_array(x), _as_array(wq), _as_array(wk)
+        if x.ndim != 2 or wq.ndim != 2 or wk.ndim != 2:
+            raise InvalidParams("yudin: x, W_Q and W_K must be matrices")
         d = x.shape[1]
         if wq.shape[0] != d or wk.shape[0] != d:
             raise InvalidParams(

@@ -12,6 +12,7 @@ offsets cancel in every marginal, so any baseline convention works.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -248,8 +249,10 @@ def load_game_csv(path, n_players=None) -> CoalitionGame:
         n_players = max(entries).bit_length()
         n_players = max(n_players, 1)
     size = 1 << n_players
-    if set(entries) != set(range(size)):
-        missing = sorted(set(range(size)) - set(entries))[:4]
+    # masks are distinct and nonnegative, so these two tests mean "all of
+    # 0..size-1"; neither builds a set of the 2^n masks a big one implies
+    if len(entries) != size or max(entries) >= size:
+        missing = list(itertools.islice((m for m in range(size) if m not in entries), 4))
         raise ValueError(
             f"{path}: table incomplete for {n_players} players (missing masks {missing}...)"
         )

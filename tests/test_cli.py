@@ -228,7 +228,7 @@ class TestActivation:
 
     def test_unknown_activation(self, capsys):
         code, _, err = run(capsys, "activation", "--name", "selu")
-        assert code == 5
+        assert code == 2
 
 
 class TestFourier:
@@ -273,6 +273,16 @@ class TestFourier:
     def test_no_action_is_parse_error(self, capsys, gauss_csv):
         code, _, err = run(capsys, "fourier", "--signal", gauss_csv)
         assert code == 2
+
+    def test_wide_band_warning_is_one_stderr_line(self, capsys, gauss_csv):
+        code, out, err = run(
+            capsys, "fourier", "--signal", gauss_csv, "--band-center", "-2,1", "--band-radius", "1",
+        )
+        assert code == 0
+        assert "band_bound = " in out
+        assert err == (
+            "warning: ball radius 1 >= 0.5642; the small-band derivation no longer applies\n"
+        )
 
     @pytest.mark.parametrize(
         "flags",
@@ -399,3 +409,96 @@ class TestParserContract:
         out = capsys.readouterr().out
         for flag in ("--signal", "--bound", "--band-center", "--band-radius", "--esd", "--snr", "--direction", "--out"):
             assert flag in out
+
+
+def _network(tmp_path, doc):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return ["bound", "--net", str(path)]
+
+
+def _net_with(node):
+    """The chain in -> ``node`` -> out, with one 2x2 matrix ``w``."""
+    return {
+        "nodes": [{"id": "in", "kind": "input"}, node, {"id": "out", "kind": "scalar_lip", "lip": 1.0}],
+        "edges": [["in", node["id"]], [node["id"], "out"]],
+        "matrices": {"w": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}},
+    }
+
+
+def _signal(tmp_path, name, n):
+    path = tmp_path / name
+    rows = "\n".join(",".join(["1"] * n) for _ in range(n))
+    path.write_text(f"# dx=1 dy=1\n{rows}\n")
+    return str(path)
+
+
+def _dynamics(tmp_path, cov):
+    argv = ["dynamics", "--eta", "0.1"]
+    for name, array in (("matrix", np.diag([2.0, 1.0])), ("grad", np.zeros((2, 2))), ("cov", cov)):
+        save_matrix_csv(tmp_path / f"{name}.csv", DenseMatrix(array))
+        argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    return argv
+
+
+def _game(tmp_path, text):
+    path = tmp_path / "game.csv"
+    path.write_text(text)
+    return ["shapley", "--game", str(path)]
+
+
+# validation failures the CLI can reach; PAPER.md gives them exit code 2
+RECLASSIFIED = {
+    "unknown-activation-name": lambda d: ["activation", "--name", "selu"],
+    "unknown-activation-in-json": lambda d: _network(
+        d, _net_with({"id": "a", "kind": "activation", "activation": "selu"})),
+    "missing-attention-parameter": lambda d: _network(
+        d, _net_with({"id": "a", "kind": "attention", "attention_kind": "hu_local",
+                      "params": {"x_norm": 1.0, "w_v": "w", "w_q": "w", "w_k": "w"}})),
+    "unknown-attention-kind": lambda d: _network(
+        d, _net_with({"id": "a", "kind": "attention", "attention_kind": "bogus"})),
+    "non-unit-direction": lambda d: ["fourier", "--signal", _signal(d, "s.csv", 4),
+                                     "--direction", "1,1"],
+    "snr-grid-mismatch": lambda d: ["fourier", "--signal", _signal(d, "s.csv", 4), "--esd", "2",
+                                    "--snr", _signal(d, "noise.csv", 6)],
+    "non-psd-covariance": lambda d: _dynamics(d, -np.eye(4)),
+    "all-zero-score-weights": lambda d: _game(d, "0,0\n1,1\n2,1\n3,2\n") + [
+        "--score", "--beta", "0,0"],
+}
+
+
+@pytest.mark.parametrize("case", RECLASSIFIED)
+def test_validation_failure_exits_2(capsys, tmp_path, case):
+    code, _, err = run(capsys, *RECLASSIFIED[case](tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"nodes": [1]}, ["node", "1"]),
+        ({"matrices": {"w": 5}}, ["matrix 'w'", "5"]),
+        (_net_with({"id": "l", "kind": "linear", "weight_ref": ["w"]}), ["node 'l'", "'weight_ref'"]),
+        (_net_with({"id": ["l"], "kind": "linear", "weight_ref": "w"}), ["node", "'id'"]),
+        (_net_with({"id": "r", "kind": "residual_group", "inner_lip": "x"}), ["node 'r'", "'inner_lip'"]),
+        (_net_with({"id": "c", "kind": "scalar_lip", "lip": "x"}), ["node 'c'", "'lip'"]),
+        ([{"id": "in", "kind": "input"}], ["network", "'document'"]),
+    ],
+    ids=["node-not-object", "matrix-not-object", "list-weight-ref", "list-id",
+         "string-inner-lip", "string-lip", "top-level-array"],
+)
+def test_mistyped_network_field_exits_2_naming_it(capsys, tmp_path, doc, names):
+    code, out, err = run(capsys, *_network(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for name in names:
+        assert name in err
+
+
+def test_huge_game_mask_exits_2_without_building_the_mask_set(capsys, tmp_path):
+    # 2^40 implies 41 players; comparing sets of all 2^41 masks cannot fit in memory
+    code, _, err = run(capsys, *_game(tmp_path, f"0,1\n{1 << 40},2\n"))
+    assert code == 2
+    assert "incomplete for 41 players (missing masks [1, 2, 3, 4]...)" in err
