@@ -218,8 +218,10 @@ def cmd_dynamics(args):
 
 
 def cmd_shapley(args):
+    if args.mc_perms is not None and args.mc_perms < 1:
+        raise ValueError(f"--mc-perms must be at least 1, got {args.mc_perms}")
     game = specgame.load_game_csv(args.game, n_players=args.players)
-    if args.mc_perms:
+    if args.mc_perms is not None:
         psi, err_bound = specgame.shapley_mc(
             lambda mask: game.values[mask], game.n_players, args.mc_perms, seed=args.seed
         )

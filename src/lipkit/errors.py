@@ -107,7 +107,8 @@ class NotPSD(InvalidInput):
 
 
 class PlayerCountTooLarge(InvalidInput):
-    """Exact Shapley mode limited to 16 players."""
+    """Shapley player count above the mode's limit: 16 players in exact mode,
+    63 in Monte Carlo mode (coalition masks are int64)."""
 
 
 class DegenerateWeights(InvalidInput):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import networkx as nx
@@ -256,7 +256,18 @@ def node_lipschitz(
 def all_node_lips(
     g: NetworkGraph, spectral: str = "auto", iters: int = 100, seed: int = 0
 ) -> dict:
-    return {nid: node_lipschitz(g, nid, spectral, iters, seed) for nid in g.nodes}
+    """Every node's constant; linear nodes that share a weight_ref share one
+    norm computation, which runs on the first of them in node order."""
+    lips, by_ref = {}, {}
+    for nid, node in g.nodes.items():
+        ref = node.weight_ref if node.kind == "linear" else None
+        if ref in by_ref:
+            lips[nid] = replace(by_ref[ref], node_id=nid)
+        else:
+            lips[nid] = node_lipschitz(g, nid, spectral, iters, seed)
+            if ref is not None:
+                by_ref[ref] = lips[nid]
+    return lips
 
 
 def product_bound(chain, g: NetworkGraph, lips=None) -> float:
@@ -430,7 +441,12 @@ def attention_bound(kind: str, params: dict) -> float:
             float(np.linalg.norm(_as_array(_get(params, key, kind)), 2))
             for key in ("w_v", "w_q", "w_k")
         )
-        return n * (n + 1) * (x_norm + delta) ** 2 * (wv * wq * wk + wv)
+        radius = x_norm + delta
+        if math.isinf(radius * radius):
+            raise OverflowError(
+                f"{kind}: x_norm + delta = {radius!r}: its square overflows float64"
+            )
+        return n * (n + 1) * radius**2 * (wv * wq * wk + wv)
 
     if kind in ("kim_l2", "kim_linf"):
         heads = _get(params, "heads", kind)

@@ -31,6 +31,8 @@ from .fourlip import SpectralSignal
 from .matcore import _csv_rows
 
 MAX_EXACT_PLAYERS = 16
+MAX_MC_PLAYERS = 63  # coalition masks are int64
+_MC_BLOCK = 1 << 15  # permutations per block of shapley_mc
 
 
 def band_partition(s: SpectralSignal, n_bands: int) -> np.ndarray:
@@ -146,30 +148,40 @@ def shapley_exact(game: CoalitionGame) -> np.ndarray:
 def shapley_mc(value_fn, n_players: int, n_perms: int, seed: int = 0):
     """Permutation-sampling estimate of the Shapley values.
 
-    ``value_fn`` maps a coalition bitmask to its worth. Returns
-    (psi, err_bound) with the bound 2^(M-1) * sqrt(Var(marginal)/n_perms)
-    evaluated at the worst player's empirical marginal variance.
+    ``value_fn`` maps a coalition bitmask to its worth and must be a
+    deterministic function of the mask: permutations are drawn in blocks of
+    2^15 and ``value_fn`` is called once per distinct coalition in a block.
+    Masks are int64, so at most 63 players. Returns (psi, err_bound)
+    with the bound 2^(M-1) * sqrt(Var(marginal)/n_perms) evaluated at the
+    worst player's empirical marginal variance.
     """
+    if n_players < 1:
+        raise ValueError(f"player count must be at least 1, got {n_players}")
+    if n_players > MAX_MC_PLAYERS:
+        raise PlayerCountTooLarge(
+            f"Monte Carlo mode limited to {MAX_MC_PLAYERS} players, got {n_players}"
+        )
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
     rng = np.random.default_rng(seed)
 
     def call(mask):
         try:
-            return float(value_fn(int(mask)))
+            return float(value_fn(mask))
         except Exception as exc:
             raise CallbackFailure(f"value_fn failed on mask {mask}") from exc
 
     marginals = np.empty((n_perms, n_players))
-    for t in range(n_perms):
-        order = rng.permutation(n_players)
-        mask = 0
-        prev = call(0)
-        for player in order:
-            mask |= 1 << int(player)
-            cur = call(mask)
-            marginals[t, player] = cur - prev
-            prev = cur
+    for start in range(0, n_perms, _MC_BLOCK):
+        rows = min(_MC_BLOCK, n_perms - start)
+        # one row per permutation; consumes the generator as rng.permutation
+        # row by row would, so the draws do not depend on the block size
+        orders = rng.permuted(np.tile(np.arange(n_players), (rows, 1)), axis=1)
+        masks = np.zeros((rows, n_players + 1), dtype=np.int64)
+        np.cumsum(np.int64(1) << orders, axis=1, out=masks[:, 1:])
+        distinct, where = np.unique(masks, return_inverse=True)
+        worth = np.array([call(int(mask)) for mask in distinct])[where.reshape(masks.shape)]
+        np.put_along_axis(marginals[start:start + rows], orders, np.diff(worth, axis=1), axis=1)
     psi = marginals.mean(axis=0)
     if n_perms > 1:
         worst_var = float(np.max(marginals.var(axis=0, ddof=1)))
@@ -229,6 +241,8 @@ def save_game_csv(path, game: CoalitionGame):
 
 
 def load_game_csv(path, n_players=None) -> CoalitionGame:
+    if n_players is not None and n_players < 1:
+        raise ValueError(f"player count must be at least 1, got {n_players}")
     entries = {}
     with open(path) as fh:
         for lineno, parts in _csv_rows(fh):

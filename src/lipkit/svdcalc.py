@@ -10,6 +10,7 @@ All singular-value indices k are 1-based: sigma(1) is the largest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,9 @@ def _hessian_weights(svd: SvdTriple, k: int):
             f"nonzero singular values within {svd.min_gap:.3e} (tol {tol:.3e})",
             gap=svd.min_gap,
         )
+    top = float(svd.singulars[0])
+    if math.isinf(top * top):
+        raise OverflowError(f"singular value {top!r}: its square overflows float64")
     s = np.zeros(max(m, n))
     s[:r] = svd.singulars[:r]
     den = sk**2 - s**2

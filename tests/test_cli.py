@@ -497,6 +497,31 @@ def test_mistyped_network_field_exits_2_naming_it(capsys, tmp_path, doc, names):
         assert name in err
 
 
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["--players", "-1"], "player count must be at least 1, got -1"),
+        (["--players", "0"], "player count must be at least 1, got 0"),
+        (["--mc-perms", "0"], "--mc-perms must be at least 1, got 0"),
+    ],
+    ids=["players-negative", "players-zero", "mc-perms-zero"],
+)
+def test_count_below_one_exits_2(capsys, tmp_path, flags, text):
+    code, out, err = run(capsys, *_game(tmp_path, "0,0\n1,1\n"), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {text}\n"
+
+
+def test_hessian_of_a_huge_singular_value_names_the_overflow(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1e200,0\n0,1\n")
+    code, out, err = run(capsys, "svd-deriv", "--matrix", str(path), "--k", "1", "--order", "2")
+    assert code == 5
+    assert out == ""
+    assert err == "numeric error: singular value 1e+200: its square overflows float64\n"
+
+
 def test_huge_game_mask_exits_2_without_building_the_mask_set(capsys, tmp_path):
     # 2^40 implies 41 players; comparing sets of all 2^41 masks cannot fit in memory
     code, _, err = run(capsys, *_game(tmp_path, f"0,1\n{1 << 40},2\n"))

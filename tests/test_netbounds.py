@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lipkit import netbounds
 from lipkit.activations import make_activation
 from lipkit.errors import (
     CycleDetected,
@@ -17,6 +18,7 @@ from lipkit.matcore import DenseMatrix
 from lipkit.netbounds import (
     NetworkGraph,
     Node,
+    all_node_lips,
     articulation_bound,
     attention_bound,
     certified_radius,
@@ -199,6 +201,26 @@ class TestNodeLipschitz:
             [("s", "r")],
         )
         assert node_lipschitz(g, "r").lip == 1.5
+
+
+class TestTiedWeights:
+    def test_each_weight_ref_normed_once(self, monkeypatch, rng):
+        mats = {ref: DenseMatrix(rng.standard_normal((5, 4))) for ref in ("a", "b")}
+        refs = ["a", "b", "a", "a", "b"]
+        nodes = [Node("s", "input")]
+        nodes += [Node(f"l{i}", "linear", weight_ref=ref) for i, ref in enumerate(refs)]
+        ids = [n.id for n in nodes]
+        g = NetworkGraph(nodes, list(zip(ids, ids[1:])), matrices=mats)
+        per_node = {nid: node_lipschitz(g, nid, "power", 30, 4) for nid in ids}
+        calls = []
+
+        def counting(g, node_id, *args):
+            calls.append(node_id)
+            return node_lipschitz(g, node_id, *args)
+
+        monkeypatch.setattr(netbounds, "node_lipschitz", counting)
+        assert all_node_lips(g, "power", 30, 4) == per_node
+        assert calls == ["s", "l0", "l1"]
 
 
 class TestProductBound:
@@ -446,6 +468,12 @@ class TestAttentionBounds:
             + 2 * np.linalg.norm(x) ** 2 * np.linalg.norm(a, 2) * jn
         )
         assert val == pytest.approx(expect, rel=1e-12)
+
+    def test_hu_local_square_overflow_names_the_radius(self):
+        eye = DenseMatrix(np.eye(2))
+        params = {"n": 2, "x_norm": 1e200, "delta": 0.0, "w_q": eye, "w_k": eye, "w_v": eye}
+        with pytest.raises(OverflowError, match=r"1e\+200: its square overflows float64"):
+            attention_bound("hu_local", params)
 
     def test_missing_params(self):
         with pytest.raises(InvalidParams):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from lipkit.errors import (
     NegativeShapley,
     PlayerCountTooLarge,
 )
+from lipkit import specgame
 from lipkit.fourlip import SpectralSignal
 from lipkit.specgame import (
     CoalitionGame,
@@ -38,6 +40,30 @@ def permutation_brute_force(values, m):
             prev = cur
         count += 1
     return [t / count for t in totals]
+
+
+def shapley_mc_loop(value_fn, n_players, n_perms, seed=0):
+    """One value_fn call per marginal, one permutation at a time: the double
+    loop shapley_mc replaced, kept as the reference for its block form."""
+    rng = np.random.default_rng(seed)
+    marginals = np.empty((n_perms, n_players))
+    for t in range(n_perms):
+        order = rng.permutation(n_players)
+        mask = 0
+        prev = float(value_fn(0))
+        for player in order:
+            mask |= 1 << int(player)
+            cur = float(value_fn(mask))
+            marginals[t, player] = cur - prev
+            prev = cur
+    psi = marginals.mean(axis=0)
+    worst_var = float(np.max(marginals.var(axis=0, ddof=1))) if n_perms > 1 else 0.0
+    return psi, 2.0 ** (n_players - 1) * math.sqrt(worst_var / n_perms)
+
+
+def wiggly_worth(mask):
+    """A deterministic, non-additive worth, so marginals depend on the order."""
+    return math.sin(0.37 * mask) + (mask % 7) * 1e-3
 
 
 class TestBandPartition:
@@ -200,6 +226,62 @@ class TestShapleyMc:
         with pytest.raises(CallbackFailure):
             shapley_mc(bad, 3, n_perms=2)
 
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "block-7"])
+    @pytest.mark.parametrize("n_perms", [1, 2, 1000])
+    @pytest.mark.parametrize("m", [1, 3, 16, 40])
+    def test_bit_identical_to_the_loop(self, monkeypatch, m, n_perms, block):
+        if block is not None:
+            monkeypatch.setattr(specgame, "_MC_BLOCK", block)
+        psi, err = shapley_mc(wiggly_worth, m, n_perms, seed=11)
+        psi_ref, err_ref = shapley_mc_loop(wiggly_worth, m, n_perms, seed=11)
+        assert np.array_equal(psi, psi_ref)
+        assert err == err_ref
+
+    def test_one_call_per_distinct_coalition(self):
+        masks = []
+
+        def worth(mask):
+            masks.append(mask)
+            return float(mask)
+
+        shapley_mc(worth, 3, n_perms=10_000, seed=0)
+        assert len(masks) <= 8
+        assert len(set(masks)) == len(masks)
+
+    def test_sixty_three_players(self):
+        masks = []
+
+        def worth(mask):
+            masks.append(mask)
+            return wiggly_worth(mask)
+
+        psi, _ = shapley_mc(worth, 63, n_perms=20, seed=1)
+        full = (1 << 63) - 1
+        assert min(masks) == 0 and max(masks) == full
+        assert all(type(mask) is int for mask in masks)
+        assert psi.sum() == pytest.approx(wiggly_worth(full) - wiggly_worth(0), abs=1e-12)
+
+    def test_sixty_four_players_refused(self):
+        with pytest.raises(PlayerCountTooLarge):
+            shapley_mc(wiggly_worth, 64, n_perms=1)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_player_count_below_one_refused(self, m):
+        with pytest.raises(ValueError, match="at least 1"):
+            shapley_mc(wiggly_worth, m, n_perms=1)
+
+    def test_callback_failure_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(specgame, "_MC_BLOCK", 3)
+
+        def worth(mask):
+            if mask == 0b11:
+                raise ZeroDivisionError(mask)
+            return 0.0
+
+        with pytest.raises(CallbackFailure, match="mask 3") as exc:
+            shapley_mc(worth, 2, n_perms=10, seed=0)
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
 
 class TestImportanceScore:
     def test_uniform_is_zero(self):
@@ -259,3 +341,10 @@ class TestGameCsv:
         path.write_text("0,1.0\n0,2.0\n")
         with pytest.raises(ValueError, match="duplicate"):
             load_game_csv(path)
+
+    @pytest.mark.parametrize("n_players", [0, -1])
+    def test_player_count_below_one_rejected(self, tmp_path, n_players):
+        path = tmp_path / "game.csv"
+        path.write_text("0,0\n1,1\n")
+        with pytest.raises(ValueError, match=f"at least 1, got {n_players}"):
+            load_game_csv(path, n_players=n_players)
