@@ -27,6 +27,9 @@ NAMES = ELEMENTWISE + ("softmax",)
 _PROBE = np.linspace(-6.0, 6.0, 24)
 _FD_STEP = 1e-5
 _FD_TOL = 1e-6
+# softmax's sup 1/2 lies at diverging logits, where objective gap and gradient
+# vanish together: tight tolerances let the search run on to this box's faces
+_LOGIT_BOX = 20.0
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ def _norm_cdf(x):
 
 def make_activation(name: str, alpha: float = 1.0, dim: int = 0) -> ActivationSpec:
     """Build the spec for a named activation from the supported table."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
     if name == "softmax":
         return ActivationSpec(name="softmax", dim=dim)
     if name == "relu":
@@ -113,7 +118,7 @@ def closed_form_lipschitz(a: ActivationSpec) -> float:
     if a.name == "relu":
         return 1.0
     if a.name in ("leaky_relu", "elu"):
-        return max(1.0, a.alpha)
+        return max(1.0, abs(a.alpha))
     if a.name == "sigmoid":
         return 0.25
     if a.name in ("tanh", "softplus"):
@@ -146,6 +151,8 @@ def numeric_scalar_lipschitz(
     if grid < 64:
         raise ValueError("grid must be >= 64")
     lo, hi = float(domain[0]), float(domain[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"domain must be finite with lo < hi, got ({lo!r}, {hi!r})")
     xs = np.linspace(lo, hi, grid)
     vals = np.abs(a.scalar_derivative(xs))
     idx = int(np.argmax(vals))
@@ -177,24 +184,26 @@ def softmax_jacobian(p) -> DenseMatrix:
     return DenseMatrix(np.diag(p) - np.outer(p, p))
 
 
-def _softmax(z):
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / e.sum()
+def _neg_top_eigenvalue(z):
+    """-lam_max of diag(p) - p p^T at p = softmax(z), and its gradient in z."""
+    # dlam = v^T dJ v = dp^T g with g = v*v - 2 (v^T p) v; dp = J dz
+    p = np.exp(z - np.max(z))
+    p /= p.sum()
+    w, vecs = np.linalg.eigh(np.diag(p) - np.outer(p, p))
+    v = vecs[:, -1]
+    g = v * v - 2.0 * (v @ p) * v
+    return -w[-1], -(p * g - p * (p @ g))
 
 
 def numeric_softmax_lipschitz(dim: int, restarts: int = 10, seed: int = 0) -> float:
-    """Maximize ||diag(p) - p p^T||_2 over logits by seeded multi-start
-    simplex search. The supremum 1/2 is approached as the mass concentrates
-    on two coordinates."""
+    """Maximize ||diag(p) - p p^T||_2 over logits in +-_LOGIT_BOX by seeded
+    multi-start L-BFGS-B with the analytic gradient. The supremum 1/2 is
+    approached as the mass concentrates on two coordinates."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
-
-    def objective(z):
-        p = _softmax(z)
-        return -float(np.linalg.eigvalsh(np.diag(p) - np.outer(p, p))[-1])
-
     best = 0.0
     for trial in range(restarts):
         if trial == 0:
@@ -207,10 +216,8 @@ def numeric_softmax_lipschitz(dim: int, restarts: int = 10, seed: int = 0) -> fl
             i, j = rng.choice(dim, size=2, replace=False)
             z0[i] = z0[j] = 4.0
         res = scipy.optimize.minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            options={"maxiter": 6000, "xatol": 1e-10, "fatol": 1e-12, "adaptive": True},
+            _neg_top_eigenvalue, z0, jac=True, method="L-BFGS-B",
+            bounds=[(-_LOGIT_BOX, _LOGIT_BOX)] * dim, options={"ftol": 1e-16, "gtol": 1e-14},
         )
         best = max(best, -float(res.fun))
     return best

@@ -107,20 +107,23 @@ def cmd_svd_deriv(args):
 
 
 def cmd_activation(args):
-    spec = activations.make_activation(args.name, alpha=args.alpha, dim=args.dim or 2)
-    value = activations.closed_form_lipschitz(spec)
-    print(f"{args.name} {_fmt(value)}")
+    dim = 2 if args.dim is None else args.dim
+    spec = activations.make_activation(args.name, alpha=args.alpha, dim=dim)
+    lines = [f"{args.name} {_fmt(activations.closed_form_lipschitz(spec))}"]
+    # both lines are computed before either is printed, so a refused input
+    # leaves stdout empty
     if args.numeric:
         if args.name == "softmax":
             est = activations.numeric_softmax_lipschitz(
-                args.dim or 2, restarts=args.restarts, seed=args.seed
+                dim, restarts=args.restarts, seed=args.seed
             )
-            print(f"numeric {_fmt(est)}")
+            lines.append(f"numeric {_fmt(est)}")
         else:
             res = activations.numeric_scalar_lipschitz(
                 spec, domain=(args.domain[0], args.domain[1]), grid=args.grid
             )
-            print(f"numeric {_fmt(res.value)} attained={res.attained}")
+            lines.append(f"numeric {_fmt(res.value)} attained={res.attained}")
+    print("\n".join(lines))
     return 0
 
 
@@ -280,7 +283,7 @@ def build_parser():
     p = sub.add_parser("activation", help="activation Lipschitz constants")
     p.add_argument("--name", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=0, help="softmax dimension")
+    p.add_argument("--dim", type=int, default=None, help="softmax dimension (default 2)")
     p.add_argument("--numeric", action="store_true", help="also run the numerical maximizer")
     p.add_argument("--domain", type=float, nargs=2, default=(-20.0, 20.0))
     p.add_argument("--grid", type=int, default=2048)

@@ -423,6 +423,7 @@ def attention_bound(kind: str, params: dict) -> float:
     kinds:
       hu_local  -- local bound on a ball: n(n+1)(||x||+delta)^2
                    [||W_V|| ||W_Q|| ||W_K^T|| + ||W_V||], spectral norms;
+                   x_norm and the radius delta must be >= 0;
       kim_l2    -- global 2-norm bound, per-head (W_Q, W_V) pairs plus W_O,
                    with the x*exp(x+1) inverse at n-1;
       kim_linf  -- global inf-norm variant of the same;
@@ -437,6 +438,10 @@ def attention_bound(kind: str, params: dict) -> float:
             x_norm = _number(params, "x_norm", kind)
         else:
             x_norm = float(np.linalg.norm(_as_array(_get(params, "x", kind))))
+        if x_norm < 0 or delta < 0:
+            raise InvalidParams(
+                f"{kind}: x_norm and delta must be >= 0, got {x_norm!r} and {delta!r}"
+            )
         wv, wq, wk = (
             float(np.linalg.norm(_as_array(_get(params, key, kind)), 2))
             for key in ("w_v", "w_q", "w_k")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lipkit.activations import (
+    _neg_top_eigenvalue,
     closed_form_lipschitz,
     make_activation,
     numeric_scalar_lipschitz,
@@ -51,6 +52,11 @@ class TestClosedForms:
         with pytest.raises(UnknownActivation):
             make_activation("selu")
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            make_activation("leaky_relu", alpha=alpha)
+
 
 class TestNumericScalar:
     def test_sigmoid_quarter_at_zero(self):
@@ -76,11 +82,19 @@ class TestNumericScalar:
             ("relu", 1.0),
             ("leaky_relu", 0.3),
             ("leaky_relu", 2.0),
+            ("leaky_relu", -2.0),
+            ("leaky_relu", -0.5),
+            ("leaky_relu", 0.1),
+            ("leaky_relu", 3.0),
             ("sigmoid", 1.0),
             ("tanh", 1.0),
             ("softplus", 1.0),
             ("elu", 0.5),
             ("elu", 1.7),
+            ("elu", -2.0),
+            ("elu", -0.5),
+            ("elu", 0.1),
+            ("elu", 3.0),
             ("swish", 1.0),
             ("gelu", 1.0),
         ],
@@ -95,6 +109,13 @@ class TestNumericScalar:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             numeric_scalar_lipschitz(make_activation("tanh"), grid=8)
+
+    @pytest.mark.parametrize(
+        "domain", [(float("nan"), 5.0), (float("inf"), 5.0), (-20.0, float("inf")), (3.0, 3.0), (5.0, 3.0)]
+    )
+    def test_domain_validation(self, domain):
+        with pytest.raises(ValueError, match="domain must be finite with lo < hi"):
+            numeric_scalar_lipschitz(make_activation("tanh"), domain=domain)
 
     def test_softmax_rejected(self):
         with pytest.raises(UnknownActivation):
@@ -156,3 +177,42 @@ class TestNumericSoftmax:
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             numeric_softmax_lipschitz(1)
+
+    def test_restarts_validation(self):
+        for restarts in (0, -2):
+            with pytest.raises(ValueError, match=f"restarts must be at least 1, got {restarts}"):
+                numeric_softmax_lipschitz(3, restarts=restarts)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_gradient_matches_central_differences(self, dim):
+        step = 1e-6
+        for z in np.random.default_rng(dim).standard_normal((5, dim)) * 2.0:
+            _, grad = _neg_top_eigenvalue(z)
+            fd = np.array(
+                [
+                    (_neg_top_eigenvalue(z + step * e)[0] - _neg_top_eigenvalue(z - step * e)[0])
+                    / (2 * step)
+                    for e in np.eye(dim)
+                ]
+            )
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 10, 32])
+    def test_reaches_half(self, dim):
+        assert abs(numeric_softmax_lipschitz(dim) - 0.5) <= 1e-12
+
+    def test_same_seed_same_float(self):
+        assert numeric_softmax_lipschitz(8, seed=3) == numeric_softmax_lipschitz(8, seed=3)
+
+    def test_eigh_calls_bounded(self, monkeypatch):
+        # a derivative-free simplex search needs about 28 600 calls here
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        numeric_softmax_lipschitz(8, restarts=10, seed=0)
+        assert 0 < len(calls) <= 2000

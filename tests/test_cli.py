@@ -464,6 +464,10 @@ RECLASSIFIED = {
     "non-psd-covariance": lambda d: _dynamics(d, -np.eye(4)),
     "all-zero-score-weights": lambda d: _game(d, "0,0\n1,1\n2,1\n3,2\n") + [
         "--score", "--beta", "0,0"],
+    "negative-hu-local-delta": lambda d: _network(
+        d, _net_with({"id": "a", "kind": "attention", "attention_kind": "hu_local",
+                      "params": {"n": 2, "x_norm": 1.0, "delta": -3.0,
+                                 "w_v": "w", "w_q": "w", "w_k": "w"}})),
 }
 
 
@@ -511,6 +515,38 @@ def test_count_below_one_exits_2(capsys, tmp_path, flags, text):
     assert code == 2
     assert out == ""
     assert err == f"error: {text}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["--name", "softmax", "--numeric", "--restarts", "0"], "restarts must be at least 1, got 0"),
+        (["--name", "softmax", "--numeric", "--restarts", "-2"], "restarts must be at least 1, got -2"),
+        (["--name", "softmax", "--dim", "0"], "softmax needs dim >= 2"),
+        (["--name", "tanh", "--numeric", "--domain", "nan", "5"],
+         "domain must be finite with lo < hi, got (nan, 5.0)"),
+        (["--name", "tanh", "--numeric", "--domain", "inf", "5"],
+         "domain must be finite with lo < hi, got (inf, 5.0)"),
+        (["--name", "tanh", "--numeric", "--domain", "3", "3"],
+         "domain must be finite with lo < hi, got (3.0, 3.0)"),
+        (["--name", "leaky_relu", "--alpha", "nan"], "alpha must be a finite number, got nan"),
+    ],
+    ids=["restarts-zero", "restarts-negative", "dim-zero", "domain-nan", "domain-inf",
+         "domain-empty", "alpha-nan"],
+)
+def test_activation_input_out_of_range_exits_2(capsys, flags, text):
+    code, out, err = run(capsys, "activation", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {text}\n"
+
+
+@pytest.mark.parametrize("name", ["leaky_relu", "elu"])
+def test_negative_alpha_bound_is_its_magnitude(capsys, tmp_path, name):
+    node = {"id": "a", "kind": "activation", "activation": {"name": name, "alpha": -2}}
+    code, out, _ = run(capsys, *_network(tmp_path, _net_with(node)))
+    assert code == 0
+    assert "bound = 2\n" in out
 
 
 def test_hessian_of_a_huge_singular_value_names_the_overflow(capsys, tmp_path):

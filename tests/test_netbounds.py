@@ -475,6 +475,13 @@ class TestAttentionBounds:
         with pytest.raises(OverflowError, match=r"1e\+200: its square overflows float64"):
             attention_bound("hu_local", params)
 
+    @pytest.mark.parametrize("x_norm, delta", [(1.0, -3.0), (-1.0, 0.0)], ids=["delta", "x_norm"])
+    def test_hu_local_negative_radius_part_refused(self, x_norm, delta):
+        eye = DenseMatrix(np.eye(2))
+        params = {"n": 2, "x_norm": x_norm, "delta": delta, "w_q": eye, "w_k": eye, "w_v": eye}
+        with pytest.raises(InvalidParams, match="x_norm and delta must be >= 0"):
+            attention_bound("hu_local", params)
+
     def test_missing_params(self):
         with pytest.raises(InvalidParams):
             attention_bound("hu_local", {"n": 2})
