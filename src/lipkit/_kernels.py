@@ -1,7 +1,7 @@
 """Hot numeric kernels in plain numpy.
 
-Callers draw every noise stream themselves and pass it in, so each kernel
-is a deterministic function of its arguments.
+Callers supply every noise stream, as an array or an iterator of draws, so
+each kernel is a deterministic function of its arguments.
 """
 
 from __future__ import annotations
@@ -65,18 +65,20 @@ def shapley_accumulate(values, weights, popcounts, n_players):
     return psi
 
 
-def em_path(theta0, drift, sqrt_cov, dt, noise_scale, noise):
-    """Single Euler-Maruyama path with drift vector ``drift(x)`` at the
-    current state x (which the callable must not modify); returns (steps+1, d)."""
-    steps = noise.shape[0]
-    d = theta0.shape[0]
-    traj = np.empty((steps + 1, d))
-    traj[0] = theta0
-    x = theta0.copy()
-    for t in range(steps):
-        x = x - drift(x) * dt + noise_scale * (sqrt_cov @ noise[t])
-        traj[t + 1] = x
-    return traj
+def em_path(x0, drift, sqrt_cov, dt, noise_scale, normals, keep):
+    """Euler-Maruyama steps x <- x - drift(x) dt + noise_scale sqrt_cov z from
+    x0, one state (d,) or a stack of paths (n_paths, d). ``normals`` yields
+    each step's standard-normal draw z, shaped like x0; ``drift(x)`` must not
+    modify x. Returns only the states at the steps in ``keep`` (0 is x0)."""
+    keep = set(keep)
+    x = x0
+    kept = [x] if 0 in keep else []
+    for t, z in enumerate(normals, 1):
+        x = x - drift(x) * dt  # a new array: x0 and kept states stay as they are
+        x += noise_scale * (z @ sqrt_cov.T)
+        if t in keep:
+            kept.append(x)
+    return kept
 
 
 def direct_dft(samples, proj, ts, scale):

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.optimize
-from scipy.special import erf, expit
+from scipy.special import erf, expit, softmax
 
 from .errors import NotSimplex, UnknownActivation
 from .matcore import DenseMatrix
@@ -187,8 +187,7 @@ def softmax_jacobian(p) -> DenseMatrix:
 def _neg_top_eigenvalue(z):
     """-lam_max of diag(p) - p p^T at p = softmax(z), and its gradient in z."""
     # dlam = v^T dJ v = dp^T g with g = v*v - 2 (v^T p) v; dp = J dz
-    p = np.exp(z - np.max(z))
-    p /= p.sum()
+    p = softmax(z)
     w, vecs = np.linalg.eigh(np.diag(p) - np.outer(p, p))
     v = vecs[:, -1]
     g = v * v - 2.0 * (v @ p) * v

@@ -194,10 +194,6 @@ def cmd_dynamics(args):
     cov = load_matrix_csv(args.cov)
     state = dynamics.LayerDynamicsState.create(theta, vec(grad_mat), cov, args.eta)
     forces = dynamics.driving_forces(state)
-    print(f"sigma1 = {_fmt(state.sigma1)}")
-    print(f"mu = {_fmt(forces.mu)}")
-    print(f"kappa = {_fmt(forces.kappa)}")
-    print(f"lambda_norm = {_fmt(np.linalg.norm(forces.lam))}")
     if args.traj_out:
         traj = dynamics.euler_maruyama(
             state,
@@ -209,6 +205,11 @@ def cmd_dynamics(args):
         rows = dynamics.trajectory_stats(
             traj, args.steps, state, store_every=args.store_every
         )
+    print(f"sigma1 = {_fmt(state.sigma1)}")
+    print(f"mu = {_fmt(forces.mu)}")
+    print(f"kappa = {_fmt(forces.kappa)}")
+    print(f"lambda_norm = {_fmt(np.linalg.norm(forces.lam))}")
+    if args.traj_out:
         with open(args.traj_out, "w") as fh:
             fh.write("step,sigma1,Z,mu,kappa,lambda_norm\n")
             for step, sigma1, z, mu, kappa, lam_norm in rows:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import NotPSD
+from .errors import CallbackFailure, NotPSD
 from .matcore import DenseMatrix, SvdTriple, full_svd, vec
 from .svdcalc import _require_simple, sv_hessian_apply, sv_hessian_contract, sv_jacobian
 
@@ -53,8 +53,8 @@ class LayerDynamicsState:
 
     @classmethod
     def create(cls, theta: DenseMatrix, grad, noise_cov: DenseMatrix, eta: float):
-        if eta <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < eta < math.inf:
+            raise ValueError(f"learning rate eta must be positive and finite, got {eta}")
         d = theta.rows * theta.cols
         grad = np.asarray(grad, dtype=np.float64).reshape(-1)
         if grad.shape != (d,):
@@ -164,11 +164,12 @@ def euler_maruyama(
 
     Returns the trajectory as a list of DenseMatrix: the start, every
     store_every-th step, and the final step. ``drift_fn`` maps the current
-    DenseMatrix to a gradient vector; when absent the state's constant
-    gradient is used. The stepping runs in ``_kernels.em_path``.
+    DenseMatrix to a gradient vector of length m*n; when absent the state's
+    constant gradient is used. ``_kernels.em_path`` draws the noise step by
+    step and keeps only the stored states: memory is stored states x m*n.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"time step dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if store_every < 1:
@@ -176,38 +177,49 @@ def euler_maruyama(
     m, n = state.theta.shape
     d = m * n
     rng = _stream(seed)
-    noise = rng.standard_normal((steps, d))
     scale = math.sqrt(state.eta * dt)
 
     def drift(x):
         if drift_fn is None:
             return state.grad
-        return np.asarray(drift_fn(DenseMatrix.from_flat(m, n, x)), dtype=np.float64).reshape(-1)
+        theta = DenseMatrix.from_flat(m, n, x)
+        try:
+            g = drift_fn(theta)
+        except Exception as exc:
+            raise CallbackFailure("drift_fn failed") from exc
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != (d,):
+            raise ValueError(f"drift_fn must return a vector of length {d}, got shape {g.shape}")
+        return g
 
-    traj = _kernels.em_path(vec(state.theta), drift, state.sqrt_cov, dt, scale, noise)
-    return [DenseMatrix.from_flat(m, n, traj[t]) for t in stored_steps(steps, store_every)]
+    kept = _kernels.em_path(
+        vec(state.theta), drift, state.sqrt_cov, dt, scale,
+        (rng.standard_normal(d) for _ in range(steps)), stored_steps(steps, store_every),
+    )
+    return [DenseMatrix.from_flat(m, n, x) for x in kept]
 
 
 def simulate_ensemble(
     state: LayerDynamicsState, dt: float, steps: int, n_paths: int, seed: int = 0
 ) -> np.ndarray:
     """Final theta of ``n_paths`` independent constant-drift paths, stacked
-    as (n_paths, m, n). The noise stream is drawn step-major from one
-    counter-based generator, so runs are reproducible for a given seed."""
-    if dt <= 0 or steps < 1 or n_paths < 1:
-        raise ValueError("need dt > 0, steps >= 1, n_paths >= 1")
+    as (n_paths, m, n), stepped by ``_kernels.em_path`` with one counter-based
+    generator: reproducible for a given seed, and one path ends where
+    :func:`euler_maruyama` does."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"time step dt must be positive and finite, got {dt}")
+    if steps < 1 or n_paths < 1:
+        raise ValueError("need steps >= 1, n_paths >= 1")
     m, n = state.theta.shape
     d = m * n
     rng = _stream(seed)
     scale = math.sqrt(state.eta * dt)
     thetas = np.tile(vec(state.theta), (n_paths, 1))
-    sqrt_cov_t = np.ascontiguousarray(state.sqrt_cov.T)
-    drift = np.asarray(state.grad)
-    for _ in range(steps):
-        noise = rng.standard_normal((n_paths, d))
-        thetas -= drift * dt
-        thetas += scale * (noise @ sqrt_cov_t)
-    return thetas.reshape(n_paths, n, m).swapaxes(1, 2)
+    (final,) = _kernels.em_path(
+        thetas, lambda x: state.grad, state.sqrt_cov, dt, scale,
+        (rng.standard_normal((n_paths, d)) for _ in range(steps)), [steps],
+    )
+    return final.reshape(n_paths, n, m).swapaxes(1, 2)
 
 
 def log_lip_increment(state: LayerDynamicsState, d_theta: DenseMatrix) -> float:

@@ -205,13 +205,13 @@ def mi_gap_bound(m_delta: float, eps: float, ball_measure: float) -> float:
     return m_delta * eps * float(np.sqrt(ball_measure))
 
 
-def _ring_indices(s: SpectralSignal, n_rings: int):
-    radial = s.freq_norm_grid()
-    r_max = float(radial.max())
-    if r_max == 0.0:
-        return np.zeros(s.grid, dtype=np.int64)
-    idx = np.minimum((radial / r_max * n_rings).astype(np.int64), n_rings - 1)
-    return idx
+def _ring_bins(dist, n: int):
+    """Index among n uniform rings of [0, max(dist)], the maximum in ring
+    n - 1; all-zero distances are ring 0."""
+    d_max = float(dist.max())
+    if d_max == 0.0:
+        return np.zeros(dist.shape, dtype=np.int64)
+    return np.minimum((dist / d_max * n).astype(np.int64), n - 1)
 
 
 def radial_esd(s: SpectralSignal, n_rings: int) -> np.ndarray:
@@ -221,7 +221,7 @@ def radial_esd(s: SpectralSignal, n_rings: int) -> np.ndarray:
         raise GridMismatch("radial ESD is defined for 2-D signals")
     if n_rings < 1:
         raise ValueError("n_rings must be >= 1")
-    idx = _ring_indices(s, n_rings).ravel()
+    idx = _ring_bins(s.freq_norm_grid(), n_rings).ravel()
     power = np.abs(s.spectrum.ravel()) ** 2
     sums = np.bincount(idx, weights=power, minlength=n_rings)
     counts = np.bincount(idx, minlength=n_rings)

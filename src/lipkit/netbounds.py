@@ -18,7 +18,7 @@ from typing import Optional
 
 import networkx as nx
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import lambertw, softmax
 
 from .activations import (
     ActivationSpec,
@@ -327,26 +327,28 @@ def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
     which every other node reaches or is reached from) split the graph
     into sub-DAG segments; the bound is the product of segment path sums
     and cut-vertex constants, the same value as dag_bound in factored
-    form. Since every node lies on a source->sink path, every cut vertex
-    lies on all of them, so a node after cut c in topological order has
-    all its predecessors in c's segment. One pass of the dag_bound
-    recurrence in topological order therefore closes a segment at each
-    cut vertex (and at the sink) and restarts there with S = 1.
+    form. Every node lies on a source->sink path, so a cut vertex lies on
+    all of them: no edge from an earlier node in topological order lands
+    beyond it. One pass of the dag_bound recurrence in topological order,
+    keeping the furthest edge target seen so far, therefore finds each
+    cut, closes a segment there (and at the sink) and restarts with S = 1.
     """
     lips = lips or all_node_lips(g)
-    articulation = set(nx.articulation_points(g.digraph.to_undirected()))
+    position = {nid: i for i, nid in enumerate(g.topo_order)}
     cuts, subdag_bounds, s = [], [], {}
-    for nid in g.topo_order:
+    reach = 0  # furthest topological position an edge seen so far lands on
+    for i, nid in enumerate(g.topo_order):
         if nid == g.source:
             s[nid] = 1.0
-            continue
-        acc = sum(s[u] for u in g.digraph.predecessors(nid))
-        if nid in articulation:
-            cuts.append(nid)
-            subdag_bounds.append(acc)
-            s[nid] = 1.0
         else:
-            s[nid] = lips[nid].lip * acc
+            acc = sum(s[u] for u in g.digraph.predecessors(nid))
+            if reach == i and nid != g.sink:
+                cuts.append(nid)
+                subdag_bounds.append(acc)
+                s[nid] = 1.0
+            else:
+                s[nid] = lips[nid].lip * acc
+        reach = max([reach] + [position[v] for v in g.digraph.successors(nid)])
     # the sink is a module of the last segment; cut vertices are their own factors
     subdag_bounds.append(s[g.sink])
     bound = 1.0
@@ -499,10 +501,7 @@ def attention_bound(kind: str, params: dict) -> float:
                 f"yudin: W_Q/W_K first dimension must match x's width {d}"
             )
         a = wq @ wk.T / math.sqrt(d)
-        scores = x @ a @ x.T
-        scores = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(scores)
-        p = e / e.sum(axis=1, keepdims=True)
+        p = softmax(x @ a @ x.T, axis=1)
         jac_norm = max(
             float(np.linalg.norm(softmax_jacobian(np.ascontiguousarray(row)).array, 2))
             for row in p

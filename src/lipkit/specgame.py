@@ -27,7 +27,7 @@ from .errors import (
     NegativeShapley,
     PlayerCountTooLarge,
 )
-from .fourlip import SpectralSignal
+from .fourlip import SpectralSignal, _ring_bins
 from .matcore import _csv_rows
 
 MAX_EXACT_PLAYERS = 16
@@ -51,12 +51,7 @@ def band_partition(s: SpectralSignal, n_bands: int) -> np.ndarray:
     c0, c1 = (n0 - 1) / 2.0, (n1 - 1) / 2.0
     i0 = np.abs(np.arange(n0) - c0)[:, None]
     i1 = np.abs(np.arange(n1) - c1)[None, :]
-    dist = np.maximum(i0, i1)
-    d_max = float(dist.max())
-    if d_max == 0.0:
-        return np.zeros(s.grid, dtype=np.int64)
-    bands = np.minimum((dist / d_max * n_bands).astype(np.int64), n_bands - 1)
-    return bands
+    return _ring_bins(np.maximum(i0, i1), n_bands)
 
 
 def _mirror_unshifted(mask):

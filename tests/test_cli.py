@@ -541,6 +541,23 @@ def test_activation_input_out_of_range_exits_2(capsys, flags, text):
     assert err == f"error: {text}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--eta", "learning rate eta must be positive and finite"),
+     ("--dt", "time step dt must be positive and finite")],
+    ids=["eta", "dt"],
+)
+def test_dynamics_rate_out_of_range_exits_2(capsys, tmp_path, flag, text, value):
+    traj = tmp_path / "traj.csv"
+    argv = _dynamics(tmp_path, np.eye(4)) + ["--traj-out", str(traj), flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {text}, got {float(value)}\n"
+    assert not traj.exists()
+
+
 @pytest.mark.parametrize("name", ["leaky_relu", "elu"])
 def test_negative_alpha_bound_is_its_magnitude(capsys, tmp_path, name):
     node = {"id": "a", "kind": "activation", "activation": {"name": name, "alpha": -2}}

@@ -15,7 +15,7 @@ from lipkit.dynamics import (
     simulate_ensemble,
     trajectory_stats,
 )
-from lipkit.errors import DegenerateSpectrum, NotPSD
+from lipkit.errors import CallbackFailure, DegenerateSpectrum, NotPSD
 from lipkit.matcore import DenseMatrix, vec
 from lipkit.svdcalc import fd_gradient_oracle, sv_hessian
 
@@ -66,6 +66,12 @@ class TestStateValidation:
         theta = DenseMatrix(np.diag([2.0, 1.0]))
         with pytest.raises(ValueError):
             LayerDynamicsState.create(theta, np.zeros(4), DenseMatrix(np.eye(4)), 0.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -1.0])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        theta = DenseMatrix(np.diag([2.0, 1.0]))
+        with pytest.raises(ValueError, match=f"eta must be positive and finite, got {eta}"):
+            LayerDynamicsState.create(theta, np.zeros(4), DenseMatrix(np.eye(4)), eta)
 
 
 class TestOpnormJacobian:
@@ -227,6 +233,36 @@ class TestEulerMaruyama:
             euler_maruyama(state, dt=0.0, steps=5)
         with pytest.raises(ValueError):
             euler_maruyama(state, dt=0.1, steps=0)
+
+    @pytest.mark.parametrize("simulate", ["euler_maruyama", "simulate_ensemble"])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0])
+    def test_dt_must_be_positive_and_finite(self, rng, simulate, dt):
+        state = make_state(rng)
+        kwargs = {"n_paths": 2} if simulate == "simulate_ensemble" else {}
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+            getattr(dynamics, simulate)(state, dt=dt, steps=5, **kwargs)
+
+    @pytest.mark.parametrize(
+        "drift_fn, shape",
+        [(lambda theta: 1.0, "()"), (lambda theta: theta.array.T, r"\(5, 4\)"),
+         (lambda theta: vec(theta)[:, None], r"\(20, 1\)")],
+        ids=["scalar", "transposed-matrix", "column"],
+    )
+    def test_drift_fn_must_return_a_vector_of_length_mn(self, rng, drift_fn, shape):
+        state = make_state(rng)
+        with pytest.raises(ValueError, match=f"length 20, got shape {shape}"):
+            euler_maruyama(state, dt=0.01, steps=3, drift_fn=drift_fn)
+
+    def test_raising_drift_fn_is_a_callback_failure(self, rng):
+        state = make_state(rng)
+        with pytest.raises(CallbackFailure, match="drift_fn") as info:
+            euler_maruyama(state, dt=0.01, steps=3, drift_fn=lambda theta: 1 / 0)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_non_finite_state_is_not_a_callback_failure(self, rng):
+        state = make_state(rng)
+        with pytest.raises(ValueError, match="finite"):
+            euler_maruyama(state, dt=0.01, steps=3, drift_fn=lambda theta: np.full(20, np.inf))
 
 
 class TestLogLipIncrement:

@@ -1,12 +1,13 @@
 """Each numpy kernel against an independent reference computation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lipkit import _kernels
-from lipkit.dynamics import LayerDynamicsState, simulate_ensemble
+from lipkit.dynamics import LayerDynamicsState, euler_maruyama, simulate_ensemble
 from lipkit.matcore import DenseMatrix
 
 from conftest import random_matrix_with_spectrum
@@ -55,17 +56,37 @@ def test_shapley_accumulate_matches_mask_loop(rng):
     )
 
 
+def cumulative_sum_paths(theta, drift, sqrt_cov, noise, dt, scale):
+    """Every state of constant-drift Euler-Maruyama paths, start included."""
+    steps = np.cumsum(-drift * dt + scale * noise @ sqrt_cov.T, axis=0)
+    return np.concatenate([theta[None], theta + steps])
+
+
 def test_em_path_matches_cumulative_sum(rng):
     theta = rng.standard_normal(8)
     drift = rng.standard_normal(8)
     sqrt_cov = rng.standard_normal((8, 8))
     noise = rng.standard_normal((30, 8))
     dt, scale = 0.02, 0.05
-    steps = np.cumsum(-drift * dt + scale * noise @ sqrt_cov.T, axis=0)
-    expect = np.vstack([theta, theta + steps])
+    expect = cumulative_sum_paths(theta, drift, sqrt_cov, noise, dt, scale)
     np.testing.assert_allclose(
-        _kernels.em_path(theta, lambda x: drift, sqrt_cov, dt, scale, noise), expect, atol=1e-13
+        _kernels.em_path(theta, lambda x: drift, sqrt_cov, dt, scale, iter(noise), range(31)),
+        expect,
+        atol=1e-13,
     )
+
+
+@pytest.mark.parametrize("keep", [range(31), [0, 7, 30], {30, 12}], ids=["all", "subset", "set"])
+def test_em_path_stacked_paths_and_kept_steps(rng, keep):
+    thetas = rng.standard_normal((3, 8))
+    drift = rng.standard_normal(8)
+    sqrt_cov = rng.standard_normal((8, 8))
+    noise = rng.standard_normal((30, 3, 8))
+    dt, scale = 0.02, 0.05
+    expect = cumulative_sum_paths(thetas, drift, sqrt_cov, noise, dt, scale)
+    got = _kernels.em_path(thetas, lambda x: drift, sqrt_cov, dt, scale, iter(noise), keep)
+    assert len(got) == len(keep)
+    np.testing.assert_allclose(got, expect[sorted(keep)], atol=1e-13)
 
 
 def direct_dft_loop(samples, proj, ts, scale):
@@ -112,3 +133,35 @@ def test_simulate_ensemble_pinned_output():
         ]
     )
     np.testing.assert_array_equal(finals, expect)
+
+
+def test_one_path_ensemble_ends_where_euler_maruyama_ends(rng):
+    theta = DenseMatrix(random_matrix_with_spectrum(rng, 3, 4, [2.0, 1.0, 0.5]))
+    cov = rng.standard_normal((12, 12))
+    state = LayerDynamicsState.create(
+        theta, rng.standard_normal(12), DenseMatrix(cov @ cov.T / 12), 1e-3
+    )
+    path = euler_maruyama(state, dt=0.05, steps=25, seed=3, store_every=25)
+    (final,) = simulate_ensemble(state, dt=0.05, steps=25, n_paths=1, seed=3)
+    np.testing.assert_array_equal(final, path[-1].array)
+
+
+def test_em_path_memory_does_not_grow_with_steps():
+    # 20 000 steps of a 20-entry state with two stored states; a (steps, d)
+    # noise array alone would be 3.2 MB
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((20, 20))
+    state = LayerDynamicsState.create(
+        DenseMatrix(random_matrix_with_spectrum(rng, 4, 5, [2.0, 1.0, 0.5, 0.2])),
+        np.zeros(20),
+        DenseMatrix(a @ a.T / 20),
+        1e-4,
+    )
+    tracemalloc.start()
+    try:
+        traj = euler_maruyama(state, dt=0.01, steps=20000, seed=0, store_every=10000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 3
+    assert peak < 1_000_000

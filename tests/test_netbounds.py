@@ -327,6 +327,21 @@ class TestArticulationBound:
             )
             assert sorted(res.cut_vertices) == sorted(oracle)
 
+    def test_cuts_found_without_networkx_cut_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("networkx cut search called")
+
+        rng = np.random.default_rng(41)
+        graphs = [random_dag(rng)[0] for _ in range(20)]
+        monkeypatch.setattr(netbounds.nx, "articulation_points", forbidden)
+        monkeypatch.setattr(netbounds.nx.DiGraph, "to_undirected", forbidden)
+        for g in graphs:
+            oracle = brute_force_articulation(
+                list(g.nodes), list(g.digraph.edges), skip={"s", "t"}
+            )
+            cuts = articulation_bound(g).cut_vertices
+            assert cuts == [nid for nid in g.topo_order if nid in oracle]
+
     def test_two_residual_blocks_in_series(self):
         # each block: a split into identity and a unit-lip branch, then a merge
         lips = {"a1": 1.0, "m1": 1.0, "a2": 1.0, "m2": 1.0}
