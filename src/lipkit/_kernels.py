@@ -81,15 +81,41 @@ def em_path(x0, drift, sqrt_cov, dt, noise_scale, normals, keep):
     return kept
 
 
-def direct_dft(samples, proj, ts, scale):
-    """out[j] = scale * sum_i samples[i] * exp(-2*pi*i * ts[j] * proj[i]).
+def direct_dft(samples, axis_proj, ts, scale):
+    """out[j] = scale * sum_i samples[i] * exp(-2*pi*i * ts[j] * proj[i]) on a
+    1-D or 2-D grid. ``samples`` is the grid flattened in C order, and
+    ``axis_proj`` holds one projection per axis, so that sample (x, y) has
+    proj = axis_proj[0][x] + axis_proj[1][y].
 
-    The phase matrix is built in chunks of ts to bound memory on large grids.
+    1-D: the (T x n) phase matrix times the samples. 2-D: the phase splits by
+    axis, exp(-2*pi*i*t*(p0 + p1)) = exp(-2*pi*i*t*p0) * exp(-2*pi*i*t*p1), so
+    out[j] = scale * sum_y (E0[j] @ F)[y] * E1[j, y] with F the (n0 x n1)
+    grid: T*(n0 + n1) exponentials and T*n0*n1 multiply-adds. Either way ts
+    is taken in chunks so that no temporary holds more than about 4M entries.
     """
+    if len(axis_proj) == 1:
+        (proj,) = axis_proj
+        width = samples.shape[0]
+
+        def block(t):
+            return np.exp(-2j * np.pi * np.outer(t, proj)) @ samples
+
+    else:
+        p0, p1 = axis_proj
+        grid = samples.reshape(p0.shape[0], p1.shape[0])
+        width = max(grid.shape)
+
+        def block(t):
+            e0 = np.exp(-2j * np.pi * np.outer(t, p0))
+            e1 = np.exp(-2j * np.pi * np.outer(t, p1))
+            # the real and imaginary rows of E0 in one real product, so the
+            # grid is never copied to complex
+            rows = np.concatenate((e0.real, e0.imag)) @ grid
+            return np.sum((rows[: t.shape[0]] + 1j * rows[t.shape[0]:]) * e1, axis=1)
+
     out = np.empty(ts.shape[0], dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(1, samples.shape[0])))
+    chunk = max(1, 4_000_000 // max(1, width))
     for start in range(0, ts.shape[0], chunk):
         stop = min(start + chunk, ts.shape[0])
-        phase = np.exp(-2j * np.pi * np.outer(ts[start:stop], proj))
-        out[start:stop] = phase @ samples
+        out[start:stop] = block(ts[start:stop])
     return out * scale

@@ -185,6 +185,8 @@ def cmd_fourier(args):
 
 
 def cmd_dynamics(args):
+    # the trajectory flags are checked even when no trajectory is asked for
+    dynamics.check_simulation(args.dt, args.steps, args.seed, args.store_every)
     theta = load_matrix_csv(args.matrix)
     grad_mat = load_matrix_csv(args.grad)
     if grad_mat.shape != theta.shape:

@@ -152,6 +152,18 @@ def stored_steps(steps: int, store_every: int = 1):
     return sorted(set(range(0, steps + 1, store_every)) | {steps})
 
 
+def check_simulation(dt: float, steps: int, seed: int = 0, store_every: int = 1):
+    """Refuse settings :func:`euler_maruyama` cannot run, with a ValueError
+    that names the setting."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"time step dt must be positive and finite, got {dt}")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
+    _stream(seed)  # Philox refuses a key outside [0, 2**128)
+
+
 def euler_maruyama(
     state: LayerDynamicsState,
     dt: float,
@@ -168,12 +180,7 @@ def euler_maruyama(
     constant gradient is used. ``_kernels.em_path`` draws the noise step by
     step and keeps only the stored states: memory is stored states x m*n.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"time step dt must be positive and finite, got {dt}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
+    check_simulation(dt, steps, seed, store_every)
     m, n = state.theta.shape
     d = m * n
     rng = _stream(seed)

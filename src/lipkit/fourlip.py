@@ -125,27 +125,40 @@ def grid_gradient_sup(s: SpectralSignal) -> float:
 
 def directional_transform(s: SpectralSignal, direction, t_grid) -> np.ndarray:
     """Transform values along the frequency line t * direction, by direct
-    summation of f(x) exp(-2*pi*i*t*<direction, x>) times the cell volume."""
+    summation of f(x) exp(-2*pi*i*t*<direction, x>) times the cell volume.
+
+    On a 2-D grid the phase is a product of per-axis factors, so T values of
+    t take T*(n_x + n_y) exponentials and T*n_x*n_y multiply-adds (see
+    ``_kernels.direct_dft``). A non-finite direction raises NotUnit and a
+    non-finite t ValueError."""
     direction = np.asarray(direction, dtype=np.float64)
     if direction.shape != (s.dim,):
         raise NotUnit(f"direction must have length {s.dim}")
+    if not np.all(np.isfinite(direction)):
+        raise NotUnit(f"direction must be finite, got {direction.tolist()}")
     if abs(np.linalg.norm(direction) - 1.0) > 1e-10:
         raise NotUnit(f"direction norm {np.linalg.norm(direction):.12g} != 1")
     ts = np.asarray(t_grid, dtype=np.float64)
-    coords = [sp * np.arange(n) for n, sp in zip(s.grid, s.spacing)]
-    if s.dim == 1:
-        proj = direction[0] * coords[0]
-    else:
-        xs, ys = np.meshgrid(coords[0], coords[1], indexing="ij")
-        proj = (direction[0] * xs + direction[1] * ys).ravel()
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise ValueError(f"t must be finite, got {bad[0]}")
+    axis_proj = tuple(
+        d * (sp * np.arange(n)) for d, n, sp in zip(direction, s.grid, s.spacing)
+    )
     flat = np.ascontiguousarray(s.samples.ravel(), dtype=np.float64)
-    return _kernels.direct_dft(flat, np.ascontiguousarray(proj), ts, s.cell_volume())
+    return _kernels.direct_dft(flat, axis_proj, ts, s.cell_volume())
 
 
 def _ball_masks(s: SpectralSignal, center, radius):
+    """Bins within radius of center and of its mirror -center; refuses a
+    radius outside (0, inf) or a non-finite center."""
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     center = np.asarray(center, dtype=np.float64).reshape(-1)
     if center.shape != (s.dim,):
         raise ValueError(f"center must have length {s.dim}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite, got {center.tolist()}")
     axes = s.freq_axes
     if s.dim == 1:
         dist = np.abs(axes[0] - center[0])
@@ -162,8 +175,6 @@ def band_remove(s: SpectralSignal, center, radius: float):
     the signal stays real); returns (perturbed signal, eps) where eps is
     the L2 norm of the removed sample-domain content (cell-volume
     normalized, matching the continuum norm)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     primary, mirror = _ball_masks(s, center, radius)
     mask = primary | mirror
     if not mask.any():
@@ -180,8 +191,7 @@ def band_bound(s: SpectralSignal, center, radius: float, eps: float) -> float:
     """M_delta * eps * sqrt(mu(ball)) with M_delta the max per-bin
     contribution over the ball and mu the analytic ball measure
     (2*delta in 1-D, pi*delta^2 in 2-D)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    primary, _ = _ball_masks(s, center, radius)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if radius >= BAND_VALIDITY_DELTA:
@@ -190,7 +200,6 @@ def band_bound(s: SpectralSignal, center, radius: float, eps: float) -> float:
             "derivation no longer applies",
             stacklevel=2,
         )
-    primary, _ = _ball_masks(s, center, radius)
     if not primary.any():
         raise EmptyBand(f"no spectrum bin within {radius} of {center}")
     m_delta = float(np.max(spectral_contribution(s)[primary]))

@@ -285,6 +285,30 @@ class TestFourier:
         )
 
     @pytest.mark.parametrize(
+        "flags, text",
+        [
+            (("--direction", "nan,0", "--t", "0,1"), "direction must be finite, got [nan, 0.0]"),
+            (("--direction", "1,0", "--t", "nan,inf"), "t must be finite, got nan"),
+            (("--direction", "1,0", "--t", "0,-inf"), "t must be finite, got -inf"),
+            (("--band-center", "1,0", "--band-radius", "nan"),
+             "radius must be positive and finite, got nan"),
+            (("--band-center", "1,0", "--band-radius", "inf"),
+             "radius must be positive and finite, got inf"),
+            (("--band-center", "1,0", "--band-radius", "-0.5"),
+             "radius must be positive and finite, got -0.5"),
+            (("--band-center", "nan,0", "--band-radius", "0.1"),
+             "center must be finite, got [nan, 0.0]"),
+        ],
+        ids=["direction-nan", "t-nan", "t-inf", "radius-nan", "radius-inf", "radius-negative",
+             "center-nan"],
+    )
+    def test_non_finite_line_or_ball_exits_2(self, capsys, gauss_csv, flags, text):
+        code, out, err = run(capsys, "fourier", "--signal", gauss_csv, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {text}\n"
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ("--band-center", "-2,1", "--band-radius", "0.1"),
@@ -556,6 +580,24 @@ def test_dynamics_rate_out_of_range_exits_2(capsys, tmp_path, flag, text, value)
     assert out == ""
     assert err == f"error: {text}, got {float(value)}\n"
     assert not traj.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["--dt", "nan"], "time step dt must be positive and finite, got nan"),
+        (["--dt", "0"], "time step dt must be positive and finite, got 0.0"),
+        (["--steps", "-5", "--store-every", "0"], "steps must be >= 1"),
+        (["--store-every", "0"], "store_every must be >= 1"),
+        (["--seed", "-1"], "key must be positive and less than 2**128."),
+    ],
+    ids=["dt-nan", "dt-zero", "steps-negative", "store-every-zero", "seed-negative"],
+)
+def test_dynamics_trajectory_flags_checked_without_traj_out(capsys, tmp_path, flags, text):
+    code, out, err = run(capsys, *_dynamics(tmp_path, np.eye(4)), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {text}\n"
 
 
 @pytest.mark.parametrize("name", ["leaky_relu", "elu"])

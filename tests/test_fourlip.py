@@ -139,6 +139,22 @@ class TestDirectionalTransform:
         with pytest.raises(NotUnit):
             directional_transform(s, [1.0, 1.0], [0.0])
 
+    @pytest.mark.parametrize("direction", [[np.nan, 0.0], [1.0, np.inf]])
+    def test_non_finite_direction(self, direction):
+        with pytest.raises(NotUnit, match="direction must be finite"):
+            directional_transform(gaussian_2d(n=16), direction, [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t(self, bad):
+        with pytest.raises(ValueError, match=f"t must be finite, got {bad}"):
+            directional_transform(gaussian_2d(n=16), [0.6, 0.8], [0.0, bad])
+
+    def test_1d_matches_fft_bins(self, rng):
+        s = SpectralSignal(rng.standard_normal(32), 0.25)
+        # t = k / (n dx) lands on DFT bin k
+        got = directional_transform(s, [1.0], np.arange(6) / 8.0)
+        np.testing.assert_allclose(got, np.fft.fft(s.samples)[:6] * 0.25, atol=1e-12)
+
 
 class TestBandRemove:
     def test_no_bins_identity(self):
@@ -172,6 +188,16 @@ class TestBandRemove:
         with pytest.raises(ValueError):
             band_remove(sine_1d(), [1.0], 0.0)
 
+    @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            band_remove(sine_1d(), [1.0], radius)
+
+    @pytest.mark.parametrize("center", [[np.nan], [np.inf]])
+    def test_center_validation(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            band_remove(sine_1d(), center, 0.1)
+
 
 class TestBandBound:
     def test_zero_eps(self):
@@ -184,6 +210,15 @@ class TestBandBound:
         # there beyond FFT roundoff
         scale = spectral_contribution(s).max()
         assert band_bound(s, [3.0], 0.2, eps=0.5) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("radius", [0.0, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            band_bound(gaussian_2d(n=32), [0.5, 0.0], radius, eps=0.1)
+
+    def test_center_validation(self):
+        with pytest.raises(ValueError, match="center must be finite"):
+            band_bound(gaussian_2d(n=32), [0.5, np.nan], 0.2, eps=0.1)
 
     def test_empty_band_raises(self):
         s = sine_1d(n=64, period=16.0)

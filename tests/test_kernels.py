@@ -109,10 +109,51 @@ def test_direct_dft_matches_cos_sin_loop(rng):
     proj = rng.standard_normal(300)
     ts = np.linspace(-2.0, 2.0, 21)
     np.testing.assert_allclose(
-        _kernels.direct_dft(samples, proj, ts, 0.3),
+        _kernels.direct_dft(samples, (proj,), ts, 0.3),
         direct_dft_loop(samples, proj, ts, 0.3),
         atol=1e-12,
     )
+
+
+def test_direct_dft_2d_matches_cos_sin_loop(rng):
+    # non-square grid, unequal spacings, a negative direction component
+    grid = rng.standard_normal((5, 7))
+    direction = (0.28, -0.96)
+    p0 = direction[0] * (0.3 * np.arange(5))
+    p1 = direction[1] * (0.7 * np.arange(7))
+    proj = (p0[:, None] + p1[None, :]).ravel()
+    ts = np.array([0.0, -3.5, -1.0, 0.25, 2.0, 4.75])
+    np.testing.assert_allclose(
+        _kernels.direct_dft(grid.ravel(), (p0, p1), ts, 0.21),
+        direct_dft_loop(grid.ravel(), proj, ts, 0.21),
+        atol=1e-12,
+    )
+
+
+def test_direct_dft_1d_is_the_phase_matrix_product(rng):
+    # the 1-D sum keeps the (T x n) phase-matrix expression, bit for bit
+    samples = rng.standard_normal(257)
+    proj = 0.6 * (0.01 * np.arange(257))
+    ts = np.linspace(-5.0, 60.0, 64)
+    expect = (np.exp(-2j * np.pi * np.outer(ts, proj)) @ samples) * 0.01
+    np.testing.assert_array_equal(_kernels.direct_dft(samples, (proj,), ts, 0.01), expect)
+
+
+def test_direct_dft_2d_memory_stays_small():
+    # 256 x 256 grid, 64 values of t: a (T x N) phase matrix alone would be
+    # 4 194 304 complex entries, 67 MB
+    n = 256
+    samples = np.random.default_rng(0).standard_normal(n * n)
+    axis = 0.6 * (np.arange(n) / n), 0.8 * (np.arange(n) / n)
+    ts = np.linspace(0.0, n / 4, 64)
+    tracemalloc.start()
+    try:
+        out = _kernels.direct_dft(samples, axis, ts, 1.0 / n**2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (64,)
+    assert peak < 8_000_000
 
 
 def test_simulate_ensemble_pinned_output():
