@@ -34,6 +34,13 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _check_seed(seed):
+    # refused here so that the message names the flag, whichever
+    # generator (or none) the command goes on to use
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
+
+
 def load_network_json(path) -> netbounds.NetworkGraph:
     try:
         with open(path) as fh:
@@ -46,6 +53,7 @@ def load_network_json(path) -> netbounds.NetworkGraph:
 
 
 def cmd_bound(args):
+    _check_seed(args.seed)
     g = load_network_json(args.net)
     lips = netbounds.all_node_lips(
         g, spectral=args.spectral, iters=args.iters, seed=args.seed
@@ -107,6 +115,7 @@ def cmd_svd_deriv(args):
 
 
 def cmd_activation(args):
+    _check_seed(args.seed)
     dim = 2 if args.dim is None else args.dim
     spec = activations.make_activation(args.name, alpha=args.alpha, dim=dim)
     lines = [f"{args.name} {_fmt(activations.closed_form_lipschitz(spec))}"]
@@ -135,6 +144,15 @@ def _parse_vector(text, label):
 
 
 def cmd_fourier(args):
+    # a flag without its companion is refused before anything is printed
+    for flag, value, companion, other in (
+        ("--band-center", args.band_center, "--band-radius", args.band_radius),
+        ("--band-radius", args.band_radius, "--band-center", args.band_center),
+        ("--t", args.t_grid, "--direction", args.direction),
+        ("--snr", args.snr, "--esd", args.esd),
+    ):
+        if value is not None and other is None:
+            raise ValueError(f"{flag} needs {companion}")
     sig = fourlip.load_signal_csv(args.signal)
     did = False
     if args.bound:
@@ -143,8 +161,6 @@ def cmd_fourier(args):
         did = True
     if args.band_center is not None:
         center = _parse_vector(args.band_center, "band-center")
-        if args.band_radius is None:
-            raise ValueError("--band-center needs --band-radius")
         perturbed, eps = fourlip.band_remove(sig, center, args.band_radius)
         bound = fourlip.band_bound(sig, center, args.band_radius, eps)
         sup = float(np.max(np.abs(sig.samples - perturbed.samples)))
@@ -226,10 +242,11 @@ def cmd_dynamics(args):
 def cmd_shapley(args):
     if args.mc_perms is not None and args.mc_perms < 1:
         raise ValueError(f"--mc-perms must be at least 1, got {args.mc_perms}")
+    _check_seed(args.seed)
     game = specgame.load_game_csv(args.game, n_players=args.players)
     if args.mc_perms is not None:
         psi, err_bound = specgame.shapley_mc(
-            lambda mask: game.values[mask], game.n_players, args.mc_perms, seed=args.seed
+            game, game.n_players, args.mc_perms, seed=args.seed
         )
         print(f"err_bound = {_fmt(err_bound)}")
     else:

@@ -143,12 +143,19 @@ def shapley_exact(game: CoalitionGame) -> np.ndarray:
 def shapley_mc(value_fn, n_players: int, n_perms: int, seed: int = 0):
     """Permutation-sampling estimate of the Shapley values.
 
-    ``value_fn`` maps a coalition bitmask to its worth and must be a
-    deterministic function of the mask: permutations are drawn in blocks of
-    2^15 and ``value_fn`` is called once per distinct coalition in a block.
-    Masks are int64, so at most 63 players. Returns (psi, err_bound)
-    with the bound 2^(M-1) * sqrt(Var(marginal)/n_perms) evaluated at the
-    worst player's empirical marginal variance.
+    ``value_fn`` is a :class:`CoalitionGame` of ``n_players`` players or a
+    function that maps a coalition bitmask to its worth. A table's worths
+    are read by array lookup. A function must be a deterministic function
+    of the mask: permutations are drawn in blocks of 2^15 and the function
+    is called once per distinct coalition in a block, in ascending mask
+    order. Masks are int64, so at most 63 players.
+
+    Each block's per-player marginal mean and sum of squared deviations
+    are merged into running totals by the pairwise update of Chan, Golub
+    and LeVeque (1983), so memory is O(block * M) whatever ``n_perms`` is.
+    Returns (psi, err_bound) with the bound 2^(M-1) * sqrt(Var(marginal)/n_perms)
+    evaluated at the worst player's empirical marginal variance. One
+    permutation estimates no variance, so its bound is inf.
     """
     if n_players < 1:
         raise ValueError(f"player count must be at least 1, got {n_players}")
@@ -158,32 +165,63 @@ def shapley_mc(value_fn, n_players: int, n_perms: int, seed: int = 0):
         )
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
+    if isinstance(value_fn, CoalitionGame):
+        if value_fn.n_players != n_players:
+            raise ValueError(
+                f"game has {value_fn.n_players} players, but n_players is {n_players}"
+            )
+        table = value_fn.values
+
+        def worths(masks):
+            return table[masks]
+
+    else:
+
+        def call(mask):
+            try:
+                return float(value_fn(mask))
+            except Exception as exc:
+                raise CallbackFailure(f"value_fn failed on mask {mask}") from exc
+
+        def worths(masks):
+            distinct, where = np.unique(masks, return_inverse=True)
+            return np.array([call(int(mask)) for mask in distinct])[where.reshape(masks.shape)]
+
     rng = np.random.default_rng(seed)
 
-    def call(mask):
-        try:
-            return float(value_fn(mask))
-        except Exception as exc:
-            raise CallbackFailure(f"value_fn failed on mask {mask}") from exc
-
-    marginals = np.empty((n_perms, n_players))
-    for start in range(0, n_perms, _MC_BLOCK):
-        rows = min(_MC_BLOCK, n_perms - start)
+    def block_moments(rows):
         # one row per permutation; consumes the generator as rng.permutation
         # row by row would, so the draws do not depend on the block size
-        orders = rng.permuted(np.tile(np.arange(n_players), (rows, 1)), axis=1)
+        orders = np.tile(np.arange(n_players), (rows, 1))
+        rng.permuted(orders, axis=1, out=orders)
         masks = np.zeros((rows, n_players + 1), dtype=np.int64)
         np.cumsum(np.int64(1) << orders, axis=1, out=masks[:, 1:])
-        distinct, where = np.unique(masks, return_inverse=True)
-        worth = np.array([call(int(mask)) for mask in distinct])[where.reshape(masks.shape)]
-        np.put_along_axis(marginals[start:start + rows], orders, np.diff(worth, axis=1), axis=1)
-    psi = marginals.mean(axis=0)
-    if n_perms > 1:
-        worst_var = float(np.max(marginals.var(axis=0, ddof=1)))
-    else:
-        worst_var = 0.0
-    err_bound = 2.0 ** (n_players - 1) * math.sqrt(worst_var / n_perms)
-    return psi, err_bound
+        worth = worths(masks)
+        del masks  # each temporary goes once used, to keep the block's peak low
+        marginals = np.empty((rows, n_players))
+        np.put_along_axis(marginals, orders, np.diff(worth, axis=1), axis=1)
+        del orders, worth
+        # the two passes of np.var, so one block reproduces its mean and var
+        mean = marginals.mean(axis=0)
+        marginals -= mean
+        marginals *= marginals
+        return mean, marginals.sum(axis=0)
+
+    for start in range(0, n_perms, _MC_BLOCK):
+        rows = min(_MC_BLOCK, n_perms - start)
+        block_mean, block_m2 = block_moments(rows)
+        if start == 0:
+            psi, m2 = block_mean, block_m2
+        else:
+            # Chan-Golub-LeVeque: merge (start, psi, m2) with the block's moments
+            total = start + rows
+            delta = block_mean - psi
+            psi += delta * (rows / total)
+            m2 += block_m2 + delta * delta * (start * rows / total)
+    if n_perms == 1:
+        return psi, math.inf
+    worst_var = float(np.max(m2 / (n_perms - 1)))
+    return psi, 2.0 ** (n_players - 1) * math.sqrt(worst_var / n_perms)
 
 
 def importance_score(psi, beta=None) -> float:

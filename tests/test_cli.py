@@ -309,6 +309,23 @@ class TestFourier:
         assert err == f"error: {text}\n"
 
     @pytest.mark.parametrize(
+        "flags, text",
+        [
+            (("--t", "0,1"), "--t needs --direction"),
+            (("--band-radius", "0.1"), "--band-radius needs --band-center"),
+            (("--band-center", "1,0"), "--band-center needs --band-radius"),
+            (("--snr", "missing.csv"), "--snr needs --esd"),
+        ],
+        ids=["t", "band-radius", "band-center", "snr"],
+    )
+    def test_flag_without_its_companion_exits_2(self, capsys, gauss_csv, flags, text):
+        # --bound would print first, so an empty stdout shows the check runs before it
+        code, out, err = run(capsys, "fourier", "--signal", gauss_csv, "--bound", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {text}\n"
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ("--band-center", "-2,1", "--band-radius", "0.1"),
@@ -385,6 +402,33 @@ class TestShapley:
         )
         assert code == 0
         assert "err_bound" in out
+
+    def test_mc_mode_reads_the_table_without_unique(self, capsys, tmp_path, monkeypatch):
+        from lipkit.specgame import CoalitionGame, save_game_csv
+
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        save_game_csv(tmp_path / "g.csv", CoalitionGame(5, np.arange(32.0) ** 1.5))
+        monkeypatch.setattr(np, "unique", counting_unique)
+        code, out, _ = run(
+            capsys, "shapley", "--game", str(tmp_path / "g.csv"),
+            "--mc-perms", "500", "--seed", "2",
+        )
+        assert code == 0
+        assert "err_bound" in out
+        assert calls == []
+
+    def test_one_permutation_bound_is_inf(self, capsys, tmp_path):
+        # the exact values are (2, 3); one permutation gives (1, 4) or
+        # (2, 3) and can say nothing about its own error
+        code, out, _ = run(capsys, *_game(tmp_path, "0,0\n1,1\n2,2\n3,5\n"), "--mc-perms", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "err_bound = inf"
 
     def test_non_finite_value_exits_2_naming_the_line(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
@@ -598,6 +642,27 @@ def test_dynamics_trajectory_flags_checked_without_traj_out(capsys, tmp_path, fl
     assert code == 2
     assert out == ""
     assert err == f"error: {text}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: _network(d, _net_with({"id": "l", "kind": "linear", "weight_ref": "w"})),
+        lambda d: _network(d, _net_with({"id": "l", "kind": "linear", "weight_ref": "w"}))
+        + ["--spectral", "power"],
+        lambda d: ["activation", "--name", "gelu", "--numeric"],
+        lambda d: ["activation", "--name", "softmax", "--numeric"],
+        lambda d: _game(d, "0,0\n1,1\n2,2\n3,5\n"),
+        lambda d: _game(d, "0,0\n1,1\n2,2\n3,5\n") + ["--mc-perms", "10"],
+    ],
+    ids=["bound", "bound-power", "activation-gelu", "activation-softmax", "shapley-exact",
+         "shapley-mc"],
+)
+def test_negative_seed_exits_2_naming_the_flag(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv(tmp_path), "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("name", ["leaky_relu", "elu"])

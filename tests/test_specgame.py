@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -57,13 +58,35 @@ def shapley_mc_loop(value_fn, n_players, n_perms, seed=0):
             marginals[t, player] = cur - prev
             prev = cur
     psi = marginals.mean(axis=0)
-    worst_var = float(np.max(marginals.var(axis=0, ddof=1))) if n_perms > 1 else 0.0
+    if n_perms == 1:
+        return psi, math.inf  # one sample estimates no variance
+    worst_var = float(np.max(marginals.var(axis=0, ddof=1)))
     return psi, 2.0 ** (n_players - 1) * math.sqrt(worst_var / n_perms)
 
 
 def wiggly_worth(mask):
     """A deterministic, non-additive worth, so marginals depend on the order."""
     return math.sin(0.37 * mask) + (mask % 7) * 1e-3
+
+
+class _WigglyValues:
+    """``wiggly_worth`` as a lookup table computed on demand, for player
+    counts whose 2^M table cannot be stored."""
+
+    def __getitem__(self, masks):
+        flat = [float(wiggly_worth(int(mask))) for mask in masks.ravel()]
+        return np.array(flat).reshape(masks.shape)
+
+
+class _ComputedGame(CoalitionGame):
+    def __post_init__(self):
+        pass  # the values are computed on lookup, so there is no table to check
+
+
+def wiggly_game(m):
+    if m <= 16:
+        return CoalitionGame.from_callback(wiggly_worth, m)
+    return _ComputedGame(m, _WigglyValues())
 
 
 class TestBandPartition:
@@ -216,8 +239,9 @@ class TestShapleyMc:
 
     def test_single_permutation_telescopes(self, rng):
         values = rng.standard_normal(16)
-        psi, _ = shapley_mc(lambda m: values[m], 4, n_perms=1, seed=2)
+        psi, err = shapley_mc(lambda m: values[m], 4, n_perms=1, seed=2)
         assert psi.sum() == pytest.approx(values[15] - values[0], abs=1e-12)
+        assert err == math.inf  # one sample estimates no variance
 
     def test_callback_failure(self):
         def bad(mask):
@@ -234,8 +258,47 @@ class TestShapleyMc:
             monkeypatch.setattr(specgame, "_MC_BLOCK", block)
         psi, err = shapley_mc(wiggly_worth, m, n_perms, seed=11)
         psi_ref, err_ref = shapley_mc_loop(wiggly_worth, m, n_perms, seed=11)
+        if n_perms <= specgame._MC_BLOCK:
+            assert np.array_equal(psi, psi_ref)
+            assert err == err_ref
+        else:
+            # blocks are merged by the pairwise moment update, which may
+            # round differently from the two-pass mean and variance; with
+            # one player every marginal is the same, the variance is 0, and
+            # the two-pass reference leaves rounding noise of order 1e-18
+            np.testing.assert_allclose(psi, psi_ref, rtol=1e-12, atol=0)
+            assert err == pytest.approx(err_ref, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "block-7"])
+    @pytest.mark.parametrize("n_perms", [1, 2, 1000])
+    @pytest.mark.parametrize("m", [1, 3, 16, 40])
+    def test_table_matches_the_callable(self, monkeypatch, m, n_perms, block):
+        if block is not None:
+            monkeypatch.setattr(specgame, "_MC_BLOCK", block)
+        psi, err = shapley_mc(wiggly_game(m), m, n_perms, seed=11)
+        psi_ref, err_ref = shapley_mc(wiggly_worth, m, n_perms, seed=11)
         assert np.array_equal(psi, psi_ref)
         assert err == err_ref
+
+    def test_table_player_count_must_match(self):
+        with pytest.raises(ValueError, match="game has 3 players, but n_players is 4"):
+            shapley_mc(wiggly_game(3), 4, n_perms=10)
+
+    @pytest.mark.parametrize("path", ["table", "callable"])
+    def test_memory_does_not_grow_with_n_perms(self, path):
+        game = CoalitionGame.from_callback(wiggly_worth, 8)
+        worth = game if path == "table" else (lambda mask: game.values[mask])
+
+        def peak(n_perms):
+            tracemalloc.start()
+            try:
+                shapley_mc(worth, 8, n_perms, seed=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(1_000_000)
+        assert large <= 1.1 * small, (small, large)
 
     def test_one_call_per_distinct_coalition(self):
         masks = []
