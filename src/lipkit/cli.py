@@ -54,6 +54,10 @@ def load_network_json(path) -> netbounds.NetworkGraph:
 
 def cmd_bound(args):
     _check_seed(args.seed)
+    # refused before the net is read, whether or not a node is estimated
+    # by power iteration
+    if args.iters < 1:
+        raise ValueError(f"--iters must be at least 1, got {args.iters}")
     g = load_network_json(args.net)
     lips = netbounds.all_node_lips(
         g, spectral=args.spectral, iters=args.iters, seed=args.seed
@@ -201,6 +205,7 @@ def cmd_fourier(args):
 
 
 def cmd_dynamics(args):
+    _check_seed(args.seed)
     # the trajectory flags are checked even when no trajectory is asked for
     dynamics.check_simulation(args.dt, args.steps, args.seed, args.store_every)
     theta = load_matrix_csv(args.matrix)

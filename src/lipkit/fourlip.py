@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyBand, GridMismatch, NotUnit
-from .matcore import _number_rows
+from .matcore import _read_numbers
 
 BAND_VALIDITY_DELTA = 1.0 / np.sqrt(np.pi)  # ~0.5642, small-ball validity threshold
 
@@ -291,8 +291,7 @@ def load_signal_csv(path) -> SpectralSignal:
             if not 0 < value < np.inf:
                 raise ValueError(f"{path}:1: {key}={fields[key]} is not a positive finite spacing")
             spacing.append(value)
-        rows = _number_rows(path, fh, start=2, width=None if two_d else 1)
-    if not rows:
+        data = _read_numbers(path, fh, start=2, width=None if two_d else 1)
+    if not data.size:
         raise ValueError(f"{path}: no samples")
-    data = np.array(rows)
     return SpectralSignal(data if two_d else data[:, 0], spacing)

@@ -28,7 +28,7 @@ from .errors import (
     PlayerCountTooLarge,
 )
 from .fourlip import SpectralSignal, _ring_bins
-from .matcore import _csv_rows
+from .matcore import _csv_rows, _field_blocks
 
 MAX_EXACT_PLAYERS = 16
 MAX_MC_PLAYERS = 63  # coalition masks are int64
@@ -273,9 +273,47 @@ def save_game_csv(path, game: CoalitionGame):
             fh.write(f"{mask},{val:.17g}\n")
 
 
-def load_game_csv(path, n_players=None) -> CoalitionGame:
-    if n_players is not None and n_players < 1:
-        raise ValueError(f"player count must be at least 1, got {n_players}")
+def _game_columns(fh):
+    """(masks, values) of every row of a game table, read in blocks, or
+    None where a block has a row that is not an int64 bitmask and a
+    finite value."""
+    masks, values = [], []
+    for _, _, _, fields in _field_blocks(fh, width=2):
+        if fields is None:
+            return None
+        n = len(fields) // 2
+        try:
+            masks.append(np.fromiter(map(int, fields[0::2]), np.int64, n))
+            values.append(np.fromiter(map(float, fields[1::2]), np.float64, n))
+        except (ValueError, OverflowError):
+            return None
+        if not np.isfinite(values[-1]).all():
+            return None
+    if not masks:
+        return None
+    return np.concatenate(masks), np.concatenate(values)
+
+
+def _complete_table(masks, values, n_players):
+    """The values in bitmask order when the distinct nonnegative ``masks``
+    are 0..2^n-1, else None; the O(2^n) arrays are made only once the row
+    count is 2^n."""
+    if masks.min() < 0:
+        return None
+    if n_players is None:
+        n_players = max(int(masks.max()).bit_length(), 1)
+    size = 1 << n_players
+    if masks.size != size or masks.max() >= size:
+        return None
+    table = np.empty(size)
+    table[masks] = values
+    seen = np.zeros(size, dtype=bool)
+    seen[masks] = True
+    return CoalitionGame(n_players, table) if seen.all() else None
+
+
+def _load_game_lines(path, n_players):
+    """Line-by-line reader; errors name the first bad line."""
     entries = {}
     with open(path) as fh:
         for lineno, parts in _csv_rows(fh):
@@ -305,3 +343,15 @@ def load_game_csv(path, n_players=None) -> CoalitionGame:
         )
     values = np.array([entries[mask] for mask in range(size)])
     return CoalitionGame(n_players, values)
+
+
+def load_game_csv(path, n_players=None) -> CoalitionGame:
+    """Complete game table from ``bitmask,value`` rows, read in bulk; a
+    table the bulk path refuses is read again line by line, so that the
+    error names the same first bad line."""
+    if n_players is not None and n_players < 1:
+        raise ValueError(f"player count must be at least 1, got {n_players}")
+    with open(path) as fh:
+        columns = _game_columns(fh)
+    game = None if columns is None else _complete_table(*columns, n_players)
+    return game if game is not None else _load_game_lines(path, n_players)

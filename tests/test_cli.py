@@ -633,7 +633,7 @@ def test_dynamics_rate_out_of_range_exits_2(capsys, tmp_path, flag, text, value)
         (["--dt", "0"], "time step dt must be positive and finite, got 0.0"),
         (["--steps", "-5", "--store-every", "0"], "steps must be >= 1"),
         (["--store-every", "0"], "store_every must be >= 1"),
-        (["--seed", "-1"], "key must be positive and less than 2**128."),
+        (["--seed", "-1"], "--seed must be nonnegative, got -1"),
     ],
     ids=["dt-nan", "dt-zero", "steps-negative", "store-every-zero", "seed-negative"],
 )
@@ -654,15 +654,36 @@ def test_dynamics_trajectory_flags_checked_without_traj_out(capsys, tmp_path, fl
         lambda d: ["activation", "--name", "softmax", "--numeric"],
         lambda d: _game(d, "0,0\n1,1\n2,2\n3,5\n"),
         lambda d: _game(d, "0,0\n1,1\n2,2\n3,5\n") + ["--mc-perms", "10"],
+        lambda d: _dynamics(d, np.eye(4)),
     ],
     ids=["bound", "bound-power", "activation-gelu", "activation-softmax", "shapley-exact",
-         "shapley-mc"],
+         "shapley-mc", "dynamics"],
 )
 def test_negative_seed_exits_2_naming_the_flag(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv(tmp_path), "--seed", "-1")
     assert code == 2
     assert out == ""
     assert err == "error: --seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+@pytest.mark.parametrize("method", ["dag", "articulation", "product"])
+def test_bound_iters_below_one_exits_2_without_power_iteration(capsys, tmp_path, method, iters):
+    # no node of this net is estimated by power iteration
+    out = tmp_path / "lips.csv"
+    argv = _network(tmp_path, _net_with({"id": "a", "kind": "activation", "activation": "relu"}))
+    code, stdout, err = run(capsys, *argv, "--method", method, "--iters", iters,
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: --iters must be at least 1, got {int(iters)}\n"
+    assert not out.exists()
+
+
+def test_bound_iters_checked_before_the_net_is_read(capsys, tmp_path):
+    code, out, err = run(capsys, "bound", "--net", str(tmp_path / "missing.json"),
+                         "--iters", "0")
+    assert (code, out, err) == (2, "", "error: --iters must be at least 1, got 0\n")
 
 
 @pytest.mark.parametrize("name", ["leaky_relu", "elu"])
