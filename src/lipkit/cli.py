@@ -24,14 +24,10 @@ import numpy as np
 
 from . import activations, dynamics, fourlip, netbounds, specgame, svdcalc
 from .errors import LipkitError
-from .matcore import full_svd, load_matrix_csv, matrix_csv_lines, vec
+from .matcore import _fmt, _write_csv, full_svd, load_matrix_csv, matrix_csv_lines, vec
 
 # stderr prefix for each exit code; the code comes from the error class
 _LABELS = {2: "error", 3: "graph error", 4: "degenerate spectrum", 5: "numeric error"}
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _check_seed(seed):
@@ -84,11 +80,9 @@ def cmd_bound(args):
             line += f" S={_fmt(per_node_s[nid])}"
         print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("node,lip,provenance,S\n")
-            for nid in g.topo_order:
-                s_val = _fmt(per_node_s[nid]) if per_node_s is not None else ""
-                fh.write(f"{nid},{_fmt(lips[nid].lip)},{lips[nid].provenance},{s_val}\n")
+        s_vals = per_node_s or dict.fromkeys(g.topo_order, "")
+        rows = ((nid, lips[nid].lip, lips[nid].provenance, s_vals[nid]) for nid in g.topo_order)
+        _write_csv(args.out, rows, header="node,lip,provenance,S")
     return 0
 
 
@@ -174,7 +168,7 @@ def cmd_fourier(args):
         if bound > 0:
             print(f"ratio = {_fmt(sup / bound)}")
         did = True
-    rows = None
+    values = None
     if args.esd is not None:
         if args.snr:
             noise = fourlip.load_signal_csv(args.snr)
@@ -183,8 +177,7 @@ def cmd_fourier(args):
         else:
             values = fourlip.radial_esd(sig, args.esd)
             label = "esd"
-        rows = [(ring, val) for ring, val in enumerate(values)]
-        for ring, val in rows:
+        for ring, val in enumerate(values):
             print(f"{label}[{ring}] = {_fmt(val)}")
         did = True
     if args.direction is not None:
@@ -196,11 +189,8 @@ def cmd_fourier(args):
         did = True
     if not did:
         raise ValueError("nothing to do: pass --bound, --band-center, --esd or --direction")
-    if args.out and rows is not None:
-        with open(args.out, "w") as fh:
-            fh.write("ring_index,value\n")
-            for ring, val in rows:
-                fh.write(f"{ring},{_fmt(val)}\n")
+    if args.out and values is not None:
+        _write_csv(args.out, enumerate(values.tolist()), header="ring_index,value")
     return 0
 
 
@@ -233,13 +223,7 @@ def cmd_dynamics(args):
     print(f"kappa = {_fmt(forces.kappa)}")
     print(f"lambda_norm = {_fmt(np.linalg.norm(forces.lam))}")
     if args.traj_out:
-        with open(args.traj_out, "w") as fh:
-            fh.write("step,sigma1,Z,mu,kappa,lambda_norm\n")
-            for step, sigma1, z, mu, kappa, lam_norm in rows:
-                fh.write(
-                    f"{step},{_fmt(sigma1)},{_fmt(z)},"
-                    f"{_fmt(mu)},{_fmt(kappa)},{_fmt(lam_norm)}\n"
-                )
+        _write_csv(args.traj_out, rows, header="step,sigma1,Z,mu,kappa,lambda_norm")
         print(f"trajectory written to {args.traj_out}")
     return 0
 
@@ -263,10 +247,7 @@ def cmd_shapley(args):
         beta = _parse_vector(args.beta, "beta") if args.beta else None
         print(f"score = {_fmt(specgame.importance_score(psi, beta))}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("player,psi\n")
-            for i, val in enumerate(psi):
-                fh.write(f"{i},{_fmt(val)}\n")
+        _write_csv(args.out, enumerate(psi.tolist()), header="player,psi")
     return 0
 
 

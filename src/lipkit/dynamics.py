@@ -20,14 +20,17 @@ from .matcore import DenseMatrix, SvdTriple, full_svd, vec
 from .svdcalc import _require_simple, sv_hessian_apply, sv_hessian_contract, sv_jacobian
 
 
-def _psd_sqrt(cov: np.ndarray, floor: float = -1e-10) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues in [floor, 0) are clipped."""
+_PSD_FLOOR = -1e-10
+
+
+def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root; eigenvalues in [_PSD_FLOOR, 0) are clipped."""
     sym_defect = float(np.max(np.abs(cov - cov.T)))
     if sym_defect > 1e-10:
         raise NotPSD(f"covariance not symmetric (max asymmetry {sym_defect:.3e})")
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    if vals.min() < floor:
-        raise NotPSD(f"covariance has eigenvalue {vals.min():.3e} below {floor}")
+    if vals.min() < _PSD_FLOOR:
+        raise NotPSD(f"covariance has eigenvalue {vals.min():.3e} below {_PSD_FLOOR}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
@@ -42,7 +45,8 @@ def _top_simple_svd(theta: DenseMatrix) -> SvdTriple:
 @dataclass(frozen=True)
 class LayerDynamicsState:
     """One layer's matrix, loss gradient, gradient-noise covariance and
-    learning rate, with the SVD and covariance square root precomputed."""
+    learning rate, with the SVD and covariance square root precomputed.
+    ``grad`` is vec(G), the column-major vector of the gradient matrix G."""
 
     theta: DenseMatrix
     grad: np.ndarray
@@ -56,14 +60,13 @@ class LayerDynamicsState:
         if not 0 < eta < math.inf:
             raise ValueError(f"learning rate eta must be positive and finite, got {eta}")
         d = theta.rows * theta.cols
-        grad = np.asarray(grad, dtype=np.float64).reshape(-1)
-        if grad.shape != (d,):
-            raise ValueError(f"grad must have length {d}, got {grad.shape}")
+        grad = np.array(grad, dtype=np.float64)
+        if grad.shape != (d,):  # a matrix G is refused, not flattened row-major
+            raise ValueError(f"grad must be vec(G), of length {d}, got shape {grad.shape}")
         if noise_cov.shape != (d, d):
             raise ValueError(f"noise_cov must be {d}x{d}, got {noise_cov.shape}")
         sqrt_cov = _psd_sqrt(noise_cov.array)
         svd = _top_simple_svd(theta)
-        grad = grad.copy()
         grad.flags.writeable = False
         return cls(
             theta=theta, grad=grad, noise_cov=noise_cov, eta=eta, svd=svd, sqrt_cov=sqrt_cov

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyBand, GridMismatch, NotUnit
-from .matcore import _read_numbers
+from .matcore import _fmt, _read_numbers, _write_csv
 
 BAND_VALIDITY_DELTA = 1.0 / np.sqrt(np.pi)  # ~0.5642, small-ball validity threshold
+_IMAG_TOL = 1e-10  # largest imaginary residue of with_spectrum, relative to the samples
 
 
 class SpectralSignal:
@@ -91,12 +92,12 @@ class SpectralSignal:
             out *= s
         return out
 
-    def with_spectrum(self, new_spectrum, imag_tol=1e-10):
+    def with_spectrum(self, new_spectrum):
         """Rebuild a signal from a modified (shifted-layout) spectrum."""
         raw = np.fft.ifftn(np.fft.ifftshift(new_spectrum))
         resid = float(np.max(np.abs(raw.imag)))
         scale = max(1.0, float(np.max(np.abs(raw.real))))
-        if resid > imag_tol * scale:
+        if resid > _IMAG_TOL * scale:
             raise ValueError(
                 f"modified spectrum is not conjugate-symmetric (imag residue {resid:.3e})"
             )
@@ -260,15 +261,8 @@ def snr(clean: SpectralSignal, noise: SpectralSignal, n_rings: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def save_signal_csv(path, s: SpectralSignal):
-    with open(path, "w") as fh:
-        if s.dim == 1:
-            fh.write(f"# dx={s.spacing[0]:.17g}\n")
-            for val in s.samples:
-                fh.write(format(val, ".17g") + "\n")
-        else:
-            fh.write(f"# dx={s.spacing[0]:.17g} dy={s.spacing[1]:.17g}\n")
-            for row in s.samples:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    header = " ".join(f"{key}={_fmt(h)}" for key, h in zip(("dx", "dy"), s.spacing))
+    _write_csv(path, s.samples.reshape(s.grid[0], -1).tolist(), header="# " + header)
 
 
 def load_signal_csv(path) -> SpectralSignal:

@@ -8,7 +8,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -65,14 +65,6 @@ class DenseMatrix:
             )
         return cls(data.reshape((rows, cols), order="F"))
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n))
-
     def col(self, j):
         """0-based column as a 1-D copy."""
         return np.array(self.array[:, j])
@@ -107,8 +99,9 @@ class SvdTriple:
 
     ``left`` is m x m, ``right`` is n x n, ``singulars`` has length
     min(m, n) sorted nonincreasing. ``rank`` counts singular values above
-    rank_tol * sigma_1; ``min_gap`` is the smallest |s_i - s_j| over
-    pairs of retained singular values (inf when fewer than two are).
+    rank_tol * sigma_1 (``rank_tol`` of :func:`full_svd`); ``min_gap`` is
+    the smallest |s_i - s_j| over pairs of retained singular values (inf
+    when fewer than two are).
     """
 
     left: DenseMatrix
@@ -116,7 +109,6 @@ class SvdTriple:
     right: DenseMatrix
     rank: int
     min_gap: float
-    rank_tol: float = field(default=DEFAULT_RANK_TOL)
 
     def __post_init__(self):
         object.__setattr__(self, "singulars", _freeze(self.singulars))
@@ -200,18 +192,40 @@ def full_svd(m: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdTriple:
         right=DenseMatrix(vt.T),
         rank=rank,
         min_gap=min_gap,
-        rank_tol=rank_tol,
     )
 
 
 # ---------------------------------------------------------------------------
-# matrix CSV format: one row per line, comma-separated decimals, no header
+# CSV files: one row per line, comma-separated fields, no quoting. Every
+# reader and writer of lipkit goes through this section, which owns the
+# syntax, the 17-digit number format and the error that names a bad line.
 # ---------------------------------------------------------------------------
 
+_FLOAT = "%.17g"  # 17 significant digits: every float reads back as itself
+
+
+def _fmt(x) -> str:
+    """``x`` as a float in the output number format."""
+    return _FLOAT % float(x)
+
+
+def _write_csv(path, rows, header=None):
+    """Write ``header`` (a line without its end, if given) and one line per
+    row of ``rows``: its fields joined by commas, each float by
+    :func:`_fmt` and any other field by ``str``."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(
+            ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n"
+            for row in rows
+        )
+
+
 def matrix_csv_lines(m: DenseMatrix):
-    """The lines of the matrix in the CSV format, 17 significant digits,
-    each ending in a newline; one row is formatted at a time."""
-    line = ",".join(["%.17g"] * m.cols) + "\n"
+    """The lines of the matrix in the CSV format, each ending in a newline;
+    one row is formatted at a time, by a template made once."""
+    line = ",".join([_FLOAT] * m.cols) + "\n"
     for row in m.array:
         yield line % tuple(row.tolist())
 
@@ -230,10 +244,11 @@ def _csv_rows(lines, start=1):
             yield lineno, line.split(",")
 
 
-def _number_rows(path, lines, start=1, width=None):
-    """Rows of floats from the non-blank ``lines``, all of one width (the
-    first row's unless ``width`` is given); errors name ``path:line``."""
-    rows = []
+def _raise_row_error(path, lines, start, width):
+    """Raise the error of the first refused number row among ``lines``, the
+    first of which is file line ``start``: a field that is not a number, an
+    entry that is not finite, or a row that is not ``width`` fields wide.
+    Called only on lines that hold such a row."""
     for lineno, fields in _csv_rows(lines, start):
         try:
             row = [float(tok) for tok in fields]
@@ -241,14 +256,10 @@ def _number_rows(path, lines, start=1, width=None):
             raise ValueError(f"{path}:{lineno}: not a comma-separated number row") from exc
         if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}:{lineno}: entries must be finite")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise ValueError(
                 f"{path}:{lineno}: row {lineno} has {len(row)} entries, expected {width}"
             )
-        rows.append(row)
-    return rows
 
 
 # Characters of whole lines read per block, so memory is O(block + result).
@@ -266,7 +277,7 @@ def _field_blocks(fh, start=1, width=None):
     fields of its non-blank rows in row order -- None when a row is not
     ``width`` fields wide. The width is the first row's unless given.
     Lines end where file iteration ends them, so a line number here is
-    the per-line readers' line number.
+    the line number that :func:`_csv_rows` gives.
     """
     while lines := fh.readlines(_BLOCK_BYTES):
         rows = list(filter(None, map(str.strip, lines)))
@@ -284,8 +295,9 @@ def _read_numbers(path, fh, start=1, width=None) -> np.ndarray:
     """The finite number rows of ``fh`` as a 2-D array (0 x 0 when there is
     none), all of one width (the first row's unless ``width`` is given).
 
-    Each block is converted by ``float`` in one pass; a block that fails
-    is read again by :func:`_number_rows`, which names the first bad line.
+    Each block is converted by ``float`` in one pass; the error for a block
+    that fails comes from :func:`_raise_row_error`, which names the first
+    bad line.
     """
     blocks = []
     for first, lines, width, fields in _field_blocks(fh, start, width):
@@ -296,7 +308,7 @@ def _read_numbers(path, fh, start=1, width=None) -> np.ndarray:
             except ValueError:
                 pass
         if block is None or not np.isfinite(block).all():
-            block = np.array(_number_rows(path, lines, first, width), dtype=np.float64)
+            _raise_row_error(path, lines, first, width)
         if block.size:
             blocks.append(block.reshape(-1, width))
     return np.concatenate(blocks) if blocks else np.empty((0, 0))

@@ -270,6 +270,13 @@ def all_node_lips(
     return lips
 
 
+def _not_nan(bound: float) -> float:
+    """``bound``, unless it is NaN (an overflow to inf times a 0), which bounds nothing."""
+    if math.isnan(bound):
+        raise FloatingPointError("bound is nan: a product of node constants overflowed and met 0")
+    return bound
+
+
 def product_bound(chain, g: NetworkGraph, lips=None) -> float:
     """Product of node constants along a directed path of the graph."""
     chain = list(chain)
@@ -284,7 +291,7 @@ def product_bound(chain, g: NetworkGraph, lips=None) -> float:
     out = 1.0
     for nid in chain:
         out *= lips[nid].lip
-    return out
+    return _not_nan(out)
 
 
 @dataclass(frozen=True)
@@ -297,19 +304,16 @@ class DagBound:
 def dag_bound(g: NetworkGraph, lips=None) -> DagBound:
     """Path-sum bound via S(v) dynamic programming in topological order.
 
-    S(source) = 1 and S(v) = Lip[h_v] * sum of S over predecessors; S(sink)
-    equals the sum over all source->sink paths of the node-constant
-    products.
+    S(source) = Lip[h_source] and S(v) = Lip[h_v] * sum of S over
+    predecessors; S(sink) equals the sum over all source->sink paths of the
+    products of the node constants on the path, the source's included.
     """
     lips = lips or all_node_lips(g)
     s = {}
     for nid in g.topo_order:
-        if nid == g.source:
-            s[nid] = 1.0
-            continue
-        acc = sum(s[u] for u in g.digraph.predecessors(nid))
+        acc = 1.0 if nid == g.source else sum(s[u] for u in g.digraph.predecessors(nid))
         s[nid] = lips[nid].lip * acc
-    return DagBound(bound=s[g.sink], per_node_s=s, node_lips=lips)
+    return DagBound(bound=_not_nan(s[g.sink]), per_node_s=s, node_lips=lips)
 
 
 @dataclass(frozen=True)
@@ -332,6 +336,7 @@ def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
     beyond it. One pass of the dag_bound recurrence in topological order,
     keeping the furthest edge target seen so far, therefore finds each
     cut, closes a segment there (and at the sink) and restarts with S = 1.
+    The first segment starts with S(source) = Lip[h_source], as in dag_bound.
     """
     lips = lips or all_node_lips(g)
     position = {nid: i for i, nid in enumerate(g.topo_order)}
@@ -339,7 +344,7 @@ def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
     reach = 0  # furthest topological position an edge seen so far lands on
     for i, nid in enumerate(g.topo_order):
         if nid == g.source:
-            s[nid] = 1.0
+            s[nid] = lips[nid].lip
         else:
             acc = sum(s[u] for u in g.digraph.predecessors(nid))
             if reach == i and nid != g.sink:
@@ -356,7 +361,7 @@ def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
         bound *= val
     for c in cuts:
         bound *= lips[c].lip
-    return ArticulationBound(bound, cuts, subdag_bounds, lips)
+    return ArticulationBound(_not_nan(bound), cuts, subdag_bounds, lips)
 
 
 def residual_bound(inner_lip: float) -> float:

@@ -43,13 +43,20 @@ def power_iteration(a: DenseMatrix, iters: int, seed: int = 0) -> PowerIteration
 
     ``ratio_est`` is the square root of the observed contraction of
     successive estimate deltas, a diagnostic proxy for sigma_2/sigma_1.
+
+    The iteration runs on A / 2^e, 2^(e-1) <= max|a_ij| < 2^e, so that no
+    squared norm leaves the float range; the estimates are multiplied back
+    by 2^e. Power-of-two scaling is exact, so nothing else changes, except
+    that ``ratio_est``'s noise floor (deltas below 1e-15) is relative to 2^e.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    arr = np.ascontiguousarray(a.array)
-    if not np.any(arr):
+    top = float(np.max(np.abs(a.array)))
+    if top == 0.0:
         m, n = a.shape
         return PowerIterationResult(0.0, np.zeros(m), np.zeros(n), 0.0, np.zeros(iters))
+    exponent = math.frexp(top)[1]
+    arr = np.ldexp(a.array, -exponent, order="C")
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(a.rows)
     u, v, history = _kernels.power_iterate(arr, np.ascontiguousarray(arr.T), u0, iters)
@@ -60,6 +67,7 @@ def power_iteration(a: DenseMatrix, iters: int, seed: int = 0) -> PowerIteration
         ratio_est = math.sqrt(min(max(contraction, 0.0), 1.0))
     else:
         ratio_est = 0.0
+    history = np.ldexp(history, exponent)
     return PowerIterationResult(float(history[-1]), u, v, ratio_est, history)
 
 
@@ -176,14 +184,17 @@ def bjorck_orthogonalize(w: DenseMatrix, p_order: int = 1, iters: int = 50) -> B
     return BjorckResult(DenseMatrix(x), tuple(defects))
 
 
-def cayley_orthogonal(b: DenseMatrix, skew_tol: float = 1e-10) -> DenseMatrix:
+_SKEW_TOL = 1e-10  # largest ||B + B^T||_F of cayley_orthogonal, relative to max(1, ||B||_F)
+
+
+def cayley_orthogonal(b: DenseMatrix) -> DenseMatrix:
     """(I + B/2)(I - B/2)^-1 for skew-symmetric B; always orthogonal."""
     if b.rows != b.cols:
         raise NotSkew(f"expected square input, got {b.rows}x{b.cols}")
     arr = b.array
     skew_defect = np.linalg.norm(arr + arr.T)
-    if skew_defect > skew_tol * max(1.0, np.linalg.norm(arr)):
-        raise NotSkew(f"skew defect {skew_defect:.3e} exceeds tolerance {skew_tol:.1e}")
+    if skew_defect > _SKEW_TOL * max(1.0, np.linalg.norm(arr)):
+        raise NotSkew(f"skew defect {skew_defect:.3e} exceeds tolerance {_SKEW_TOL:.1e}")
     n = b.rows
     half = 0.5 * arr
     lhs = np.eye(n) - half

@@ -12,7 +12,6 @@ offsets cancel in every marginal, so any baseline convention works.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .errors import (
     PlayerCountTooLarge,
 )
 from .fourlip import SpectralSignal, _ring_bins
-from .matcore import _csv_rows, _field_blocks
+from .matcore import _csv_rows, _field_blocks, _write_csv
 
 MAX_EXACT_PLAYERS = 16
 MAX_MC_PLAYERS = 63  # coalition masks are int64
@@ -268,15 +267,13 @@ def importance_score(psi, beta=None) -> float:
 # ---------------------------------------------------------------------------
 
 def save_game_csv(path, game: CoalitionGame):
-    with open(path, "w") as fh:
-        for mask, val in enumerate(game.values):
-            fh.write(f"{mask},{val:.17g}\n")
+    _write_csv(path, enumerate(game.values.tolist()))
 
 
-def _game_columns(fh):
-    """(masks, values) of every row of a game table, read in blocks, or
-    None where a block has a row that is not an int64 bitmask and a
-    finite value."""
+def _read_game(fh, n_players):
+    """The game of a table read in blocks, or None where a row is not an
+    int64 bitmask and a finite value, or the distinct nonnegative masks are
+    not 0..2^n-1. The O(2^n) arrays are made only once the row count is 2^n."""
     masks, values = [], []
     for _, _, _, fields in _field_blocks(fh, width=2):
         if fields is None:
@@ -291,30 +288,27 @@ def _game_columns(fh):
             return None
     if not masks:
         return None
-    return np.concatenate(masks), np.concatenate(values)
-
-
-def _complete_table(masks, values, n_players):
-    """The values in bitmask order when the distinct nonnegative ``masks``
-    are 0..2^n-1, else None; the O(2^n) arrays are made only once the row
-    count is 2^n."""
+    masks = np.concatenate(masks)
     if masks.min() < 0:
         return None
     if n_players is None:
         n_players = max(int(masks.max()).bit_length(), 1)
-    size = 1 << n_players
-    if masks.size != size or masks.max() >= size:
+    # no table of over 63 players fits in memory, and 1 << n_players stays small
+    if n_players > MAX_MC_PLAYERS or masks.size != 1 << n_players or masks.max() >= masks.size:
         return None
-    table = np.empty(size)
-    table[masks] = values
-    seen = np.zeros(size, dtype=bool)
+    table = np.empty(masks.size)
+    table[masks] = np.concatenate(values)
+    seen = np.zeros(masks.size, dtype=bool)
     seen[masks] = True
     return CoalitionGame(n_players, table) if seen.all() else None
 
 
-def _load_game_lines(path, n_players):
-    """Line-by-line reader; errors name the first bad line."""
-    entries = {}
+def _raise_game_error(path, n_players):
+    """Raise the error of a game table that the bulk path refused: that of
+    its first line that is not ``bitmask,value``, holds a value that is not
+    finite, or repeats a mask or has a negative one; else that of an empty
+    or incomplete table."""
+    seen = set()
     with open(path) as fh:
         for lineno, parts in _csv_rows(fh):
             if len(parts) != 2:
@@ -325,33 +319,32 @@ def _load_game_lines(path, n_players):
                 raise ValueError(f"{path}:{lineno}: bad bitmask or value") from exc
             if not math.isfinite(val):
                 raise ValueError(f"{path}:{lineno}: value {parts[1].strip()} is not finite")
-            if mask < 0 or mask in entries:
+            if mask < 0 or mask in seen:
                 raise ValueError(f"{path}:{lineno}: bad or duplicate bitmask {mask}")
-            entries[mask] = val
-    if not entries:
+            seen.add(mask)
+    if not seen:
         raise ValueError(f"{path}: empty game table")
     if n_players is None:
-        n_players = max(entries).bit_length()
-        n_players = max(n_players, 1)
-    size = 1 << n_players
-    # masks are distinct and nonnegative, so these two tests mean "all of
-    # 0..size-1"; neither builds a set of the 2^n masks a big one implies
-    if len(entries) != size or max(entries) >= size:
-        missing = list(itertools.islice((m for m in range(size) if m not in entries), 4))
-        raise ValueError(
-            f"{path}: table incomplete for {n_players} players (missing masks {missing}...)"
-        )
-    values = np.array([entries[mask] for mask in range(size)])
-    return CoalitionGame(n_players, values)
+        n_players = max(max(seen).bit_length(), 1)
+    # the masks are distinct, so the first four of 0..2^n-1 that are missing
+    # lie below len(seen) + 4; a large n makes no 2^n-sized integer or range
+    stop = len(seen) + 4
+    if stop.bit_length() > n_players:
+        stop = 1 << n_players
+    missing = [mask for mask in range(stop) if mask not in seen][:4]
+    raise ValueError(
+        f"{path}: table incomplete for {n_players} players (missing masks {missing}...)"
+    )
 
 
 def load_game_csv(path, n_players=None) -> CoalitionGame:
-    """Complete game table from ``bitmask,value`` rows, read in bulk; a
-    table the bulk path refuses is read again line by line, so that the
-    error names the same first bad line."""
+    """Complete game table from ``bitmask,value`` rows, read in bulk; the
+    error for a refused table names its first bad line, as a line-by-line
+    reader would."""
     if n_players is not None and n_players < 1:
         raise ValueError(f"player count must be at least 1, got {n_players}")
     with open(path) as fh:
-        columns = _game_columns(fh)
-    game = None if columns is None else _complete_table(*columns, n_players)
-    return game if game is not None else _load_game_lines(path, n_players)
+        game = _read_game(fh, n_players)
+    if game is None:
+        _raise_game_error(path, n_players)
+    return game

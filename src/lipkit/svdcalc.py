@@ -288,9 +288,7 @@ def _compositions(n, p):
             yield (first,) + rest
 
 
-def sv_expansion_coeff(
-    series: PerturbationSeries, k: int, n: int, max_order: int = MAX_EXPANSION_ORDER
-) -> float:
+def sv_expansion_coeff(series: PerturbationSeries, k: int, n: int) -> float:
     """Coefficient of x^n in the expansion of sigma_k along the series.
 
     Evaluates the trace form of the analytic expansion on the symmetric
@@ -308,8 +306,8 @@ def sv_expansion_coeff(
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n > max_order:
-        raise OrderOverflow(f"order {n} exceeds configured maximum {max_order}")
+    if n > MAX_EXPANSION_ORDER:
+        raise OrderOverflow(f"order {n} exceeds configured maximum {MAX_EXPANSION_ORDER}")
     jw = jordan_wielandt(full_svd(series.base))
     s_mat = reduced_resolvent(jw, k).matrix.array
     w = jw.pos_eigvecs[:, k - 1]

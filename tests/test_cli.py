@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,25 @@ class TestShapley:
         assert code == 0
         assert out.splitlines()[0] == "err_bound = inf"
 
+    @pytest.mark.parametrize("flags, psi", [
+        # exact: (7/3, 10/3, 13/3) as the weighted sums round them
+        ([], ["2.333333333333333", "3.333333333333333", "4.333333333333333"]),
+        # five sampled orders give (12/5, 16/5, 22/5)
+        (["--mc-perms", "5", "--seed", "3"],
+         ["2.3999999999999999", "3.2000000000000002", "4.4000000000000004"]),
+    ], ids=["exact", "mc"])
+    def test_out_file_bytes(self, capsys, tmp_path, flags, psi):
+        out_path = tmp_path / "psi.csv"
+        argv = _game(tmp_path, "0,0\n1,1\n2,2\n3,4\n4,3\n5,5\n6,6\n7,10\n")
+        code, out, _ = run(capsys, *argv, *flags, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == b"player,psi\n" + b"".join(
+            f"{i},{val}\n".encode() for i, val in enumerate(psi)
+        )
+        assert [f"psi[{i}] = {val}" for i, val in enumerate(psi)] == [
+            line for line in out.splitlines() if line.startswith("psi")
+        ]
+
     def test_non_finite_value_exits_2_naming_the_line(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("0,0\n1,nan\n")
@@ -708,3 +728,49 @@ def test_huge_game_mask_exits_2_without_building_the_mask_set(capsys, tmp_path):
     code, _, err = run(capsys, *_game(tmp_path, f"0,1\n{1 << 40},2\n"))
     assert code == 2
     assert "incomplete for 41 players (missing masks [1, 2, 3, 4]...)" in err
+
+
+def test_huge_player_count_is_refused_in_small_memory(capsys, tmp_path):
+    # the missing masks are found below len(rows) + 4; 1 << 10^9 alone
+    # would be a 125 MB integer
+    argv = _game(tmp_path, "0,0\n1,1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--players", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.endswith(
+        ": table incomplete for 1000000000 players (missing masks [2, 3, 4, 5]...)\n"
+    )
+    assert peak < 1e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("method", ["product", "dag", "articulation"])
+def test_bound_includes_the_source_constant(capsys, tmp_path, method):
+    doc = {
+        "nodes": [{"id": "w", "kind": "linear", "weight_ref": "w"},
+                  {"id": "a", "kind": "activation", "activation": "relu"}],
+        "edges": [["w", "a"]],
+        "matrices": {"w": {"rows": 2, "cols": 2, "data": [3, 0, 0, 1]}},
+    }
+    code, out, _ = run(capsys, *_network(tmp_path, doc), "--method", method)
+    assert code == 0
+    assert "bound = 3\n" in out
+
+
+@pytest.mark.parametrize("method", ["product", "dag", "articulation"])
+def test_nan_bound_exits_5(capsys, tmp_path, method):
+    # 1e200 * 1e200 overflows to inf, and inf * 0 is nan
+    nodes = [{"id": "in", "kind": "input"}] + [
+        {"id": nid, "kind": "scalar_lip", "lip": lip}
+        for nid, lip in (("a", 1e200), ("b", 1e200), ("c", 0))
+    ]
+    edges = [["in", "a"], ["a", "b"], ["b", "c"], ["in", "c"]]
+    out_path = tmp_path / "lips.csv"
+    code, out, err = run(capsys, *_network(tmp_path, {"nodes": nodes, "edges": edges}),
+                         "--method", method, "--out", str(out_path))
+    assert code == 5
+    assert out == "" and not out_path.exists()
+    assert err.startswith("numeric error: bound is nan")

@@ -56,6 +56,12 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             LayerDynamicsState.create(theta, np.zeros(3), DenseMatrix(np.eye(4)), 0.1)
 
+    def test_matrix_grad_refused_asking_for_vec(self):
+        # a 2-D gradient read row-major would pair G[0, 1] with theta[1, 0]
+        theta = DenseMatrix(np.array([[2.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"grad must be vec\(G\), of length 4, got shape \(2, 2\)"):
+            LayerDynamicsState.create(theta, np.eye(2), DenseMatrix(np.eye(4)), 0.1)
+
     def test_degenerate_spectrum_rejected(self):
         with pytest.raises(DegenerateSpectrum):
             LayerDynamicsState.create(

@@ -297,6 +297,58 @@ class TestDagBound:
         assert res.per_node_s["v"] == 3.0
 
 
+class TestSourceConstant:
+    """Every source->sink path starts at the source, so its constant is a
+    factor of every path product."""
+
+    def test_random_dags_match_enumeration_with_the_source(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            g, lips = random_dag(rng)
+            lips["s"] = float(rng.choice([0.25, 2.0, 4.0]))
+            edges = list(g.digraph.edges)
+            g = NetworkGraph([Node(nid, "scalar_lip", lip=val) for nid, val in lips.items()],
+                             edges, source="s", sink="t")
+            expect = lips["s"] * enumerate_path_sum(list(lips), edges, lips, "s", "t")
+            # dyadic constants: every sum and product is exact
+            assert dag_bound(g).bound == articulation_bound(g).bound == expect
+
+    def test_chains_match_the_product_with_the_source(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 6):
+            ids = ["s"] + [f"n{i}" for i in range(n - 1)] + ["t"]
+            lips = {nid: float(rng.choice([0.25, 0.5, 2.0, 4.0])) for nid in ids}
+            g = NetworkGraph([Node(nid, "scalar_lip", lip=val) for nid, val in lips.items()],
+                             list(zip(ids, ids[1:])), source="s", sink="t")
+            expect = lips["s"] * enumerate_path_sum(ids, list(zip(ids, ids[1:])), lips, "s", "t")
+            assert product_bound(ids, g) == dag_bound(g).bound == expect
+            assert articulation_bound(g).bound == expect
+
+    def test_linear_source(self):
+        g = NetworkGraph(
+            [Node("w", "linear", weight_ref="w"), Node("a", "activation", activation=make_activation("relu"))],
+            [("w", "a")],
+            matrices={"w": DenseMatrix(np.diag([3.0, 1.0]))},
+        )
+        assert product_bound(["w", "a"], g) == dag_bound(g).bound == 3.0
+        res = articulation_bound(g)
+        assert res.bound == 3.0 and res.subdag_bounds == [3.0]
+
+
+@pytest.mark.parametrize("bound", [
+    lambda g: product_bound(["s", "a", "b", "c"], g),
+    lambda g: dag_bound(g).bound,
+    lambda g: articulation_bound(g).bound,
+], ids=["product", "dag", "articulation"])
+def test_nan_bound_raises(bound):
+    # 1e200 * 1e200 overflows to inf, and inf * 0 is nan; the edge s -> c
+    # leaves no cut vertex, so no method can multiply the 0 in first
+    lips = {"s": 1.0, "a": 1e200, "b": 1e200, "c": 0.0}
+    g = scalar_graph(lips, [("s", "a"), ("a", "b"), ("b", "c"), ("s", "c")], "s", "c")
+    with pytest.raises(FloatingPointError, match="bound is nan"):
+        bound(g)
+
+
 class TestArticulationBound:
     def test_chain_every_internal_node_is_cut(self):
         g = scalar_graph(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,28 @@ class TestPowerIteration:
         assert res.sigma_est == 0.0
         assert not res.u.any() and not res.v.any()
         assert res.ratio_est == 0.0
+
+    @pytest.mark.parametrize("exponent", [-700, 700])
+    def test_power_of_two_scale_changes_nothing_but_the_scale(self, exponent):
+        # squared norms at 2^(+-1400) are out of float range; the iteration
+        # must not see them
+        a = np.random.default_rng(4).standard_normal((300, 300))
+        res = power_iteration(DenseMatrix(a), iters=40, seed=2)
+        scaled = power_iteration(DenseMatrix(np.ldexp(a, exponent)), iters=40, seed=2)
+        assert scaled.sigma_est == math.ldexp(res.sigma_est, exponent)
+        assert np.array_equal(scaled.history, np.ldexp(res.history, exponent))
+        assert np.array_equal(scaled.u, res.u) and np.array_equal(scaled.v, res.v)
+        assert scaled.ratio_est == res.ratio_est
+
+    def test_tiny_entries_give_a_finite_estimate(self):
+        a = 1e-200 * np.random.default_rng(5).standard_normal((300, 300))
+        res = power_iteration(DenseMatrix(a), iters=100, seed=0)
+        top = 1e-200 * np.linalg.norm(a / 1e-200, 2)
+        assert 0.99 * top <= res.sigma_est <= top * (1 + 1e-12)
+
+    def test_huge_entries_give_the_norm_not_zero(self):
+        res = power_iteration(DenseMatrix(np.full((2, 2), 1e300)), iters=5, seed=0)
+        assert res.sigma_est == pytest.approx(2e300, rel=1e-15)
 
     def test_never_exceeds_sigma1(self, rng):
         a = DenseMatrix(rng.standard_normal((8, 8)))
