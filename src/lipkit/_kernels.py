@@ -33,22 +33,17 @@ def power_iterate(a, at, u0, iters):
         nv = np.sqrt(np.dot(v, v))
     v = v / nv
     history = np.empty(iters)
+    av = a @ v
     for t in range(iters):
-        u_next = a @ v
-        nu = np.sqrt(np.dot(u_next, u_next))
-        if nu > 0.0:
-            u_next = u_next / nu
-        else:
-            u_next = u
+        nu = np.sqrt(np.dot(av, av))
+        u_next = av / nu if nu > 0.0 else u
         v_next = at @ u
         nv = np.sqrt(np.dot(v_next, v_next))
-        if nv > 0.0:
-            v_next = v_next / nv
-        else:
-            v_next = v
+        v = v_next / nv if nv > 0.0 else v
         u = u_next
-        v = v_next
-        history[t] = np.dot(u, a @ v)
+        # the next step's u is normalize(a @ v) for this same v
+        av = a @ v
+        history[t] = np.dot(u, av)
     return u, v, history
 
 
@@ -85,37 +80,26 @@ def direct_dft(samples, axis_proj, ts, scale):
     """out[j] = scale * sum_i samples[i] * exp(-2*pi*i * ts[j] * proj[i]) on a
     1-D or 2-D grid. ``samples`` is the grid flattened in C order, and
     ``axis_proj`` holds one projection per axis, so that sample (x, y) has
-    proj = axis_proj[0][x] + axis_proj[1][y].
+    proj = axis_proj[0][x] + axis_proj[1][y]. A 1-D grid is the (n x 1) grid
+    whose second projection is 0.
 
-    1-D: the (T x n) phase matrix times the samples. 2-D: the phase splits by
-    axis, exp(-2*pi*i*t*(p0 + p1)) = exp(-2*pi*i*t*p0) * exp(-2*pi*i*t*p1), so
-    out[j] = scale * sum_y (E0[j] @ F)[y] * E1[j, y] with F the (n0 x n1)
-    grid: T*(n0 + n1) exponentials and T*n0*n1 multiply-adds. Either way ts
-    is taken in chunks so that no temporary holds more than about 4M entries.
+    The phase splits by axis, exp(-2*pi*i*t*(p0 + p1)) = exp(-2*pi*i*t*p0) *
+    exp(-2*pi*i*t*p1), so out[j] = scale * sum_y (E0[j] @ F)[y] * E1[j, y]
+    with F the (n0 x n1) grid: T*(n0 + n1) exponentials and T*n0*n1
+    multiply-adds. ts is taken in chunks so that no temporary holds more than
+    about 4M entries.
     """
-    if len(axis_proj) == 1:
-        (proj,) = axis_proj
-        width = samples.shape[0]
-
-        def block(t):
-            return np.exp(-2j * np.pi * np.outer(t, proj)) @ samples
-
-    else:
-        p0, p1 = axis_proj
-        grid = samples.reshape(p0.shape[0], p1.shape[0])
-        width = max(grid.shape)
-
-        def block(t):
-            e0 = np.exp(-2j * np.pi * np.outer(t, p0))
-            e1 = np.exp(-2j * np.pi * np.outer(t, p1))
-            # the real and imaginary rows of E0 in one real product, so the
-            # grid is never copied to complex
-            rows = np.concatenate((e0.real, e0.imag)) @ grid
-            return np.sum((rows[: t.shape[0]] + 1j * rows[t.shape[0]:]) * e1, axis=1)
-
+    p0, p1 = (*axis_proj, np.zeros(1))[:2]
+    grid = samples.reshape(p0.shape[0], p1.shape[0])
     out = np.empty(ts.shape[0], dtype=np.complex128)
-    chunk = max(1, 4_000_000 // max(1, width))
+    chunk = max(1, 4_000_000 // max(1, *grid.shape))
     for start in range(0, ts.shape[0], chunk):
-        stop = min(start + chunk, ts.shape[0])
-        out[start:stop] = block(ts[start:stop])
+        t = ts[start:start + chunk]
+        n = t.shape[0]
+        e0 = np.exp(-2j * np.pi * np.outer(t, p0))
+        e1 = np.exp(-2j * np.pi * np.outer(t, p1))
+        # the real and imaginary rows of E0 in one real product, so the grid
+        # is never copied to complex
+        rows = np.concatenate((e0.real, e0.imag)) @ grid
+        out[start:start + n] = np.sum((rows[:n] + 1j * rows[n:]) * e1, axis=1)
     return out * scale

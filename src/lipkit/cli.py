@@ -8,7 +8,8 @@ Human-readable reports go to stdout; machine outputs are written only via
 files round-trip losslessly.
 
 Exit codes: 2 parse/validation, 3 graph structure, 4 degenerate spectrum,
-5 other numeric failure.
+5 other numeric failure, a refused allocation included. A refused input
+leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def cmd_bound(args):
 
 
 def cmd_svd_deriv(args):
+    if args.step is not None and not args.check_fd:
+        raise ValueError("--step needs --check-fd")
     mat = load_matrix_csv(args.matrix)
     if args.order == 1:
         result = svdcalc.sv_jacobian(full_svd(mat), args.k)
@@ -152,22 +155,22 @@ def cmd_fourier(args):
         if value is not None and other is None:
             raise ValueError(f"{flag} needs {companion}")
     sig = fourlip.load_signal_csv(args.signal)
-    did = False
+    # every line is computed before any is printed, so a refused input
+    # leaves stdout empty
+    lines = []
     if args.bound:
-        print(f"spectral_bound = {_fmt(fourlip.spectral_lipschitz_bound(sig))}")
-        print(f"grid_sup = {_fmt(fourlip.grid_gradient_sup(sig))}")
-        did = True
+        lines.append(f"spectral_bound = {_fmt(fourlip.spectral_lipschitz_bound(sig))}")
+        lines.append(f"grid_sup = {_fmt(fourlip.grid_gradient_sup(sig))}")
     if args.band_center is not None:
         center = _parse_vector(args.band_center, "band-center")
         perturbed, eps = fourlip.band_remove(sig, center, args.band_radius)
         bound = fourlip.band_bound(sig, center, args.band_radius, eps)
         sup = float(np.max(np.abs(sig.samples - perturbed.samples)))
-        print(f"eps = {_fmt(eps)}")
-        print(f"band_bound = {_fmt(bound)}")
-        print(f"sup_diff = {_fmt(sup)}")
+        lines.append(f"eps = {_fmt(eps)}")
+        lines.append(f"band_bound = {_fmt(bound)}")
+        lines.append(f"sup_diff = {_fmt(sup)}")
         if bound > 0:
-            print(f"ratio = {_fmt(sup / bound)}")
-        did = True
+            lines.append(f"ratio = {_fmt(sup / bound)}")
     values = None
     if args.esd is not None:
         if args.snr:
@@ -177,18 +180,15 @@ def cmd_fourier(args):
         else:
             values = fourlip.radial_esd(sig, args.esd)
             label = "esd"
-        for ring, val in enumerate(values):
-            print(f"{label}[{ring}] = {_fmt(val)}")
-        did = True
+        lines += (f"{label}[{ring}] = {_fmt(val)}" for ring, val in enumerate(values))
     if args.direction is not None:
         direction = _parse_vector(args.direction, "direction")
         ts = _parse_vector(args.t_grid or "0", "t")
         vals = fourlip.directional_transform(sig, direction, ts)
-        for t, v in zip(ts, vals):
-            print(f"t={_fmt(t)} re={_fmt(v.real)} im={_fmt(v.imag)}")
-        did = True
-    if not did:
+        lines += (f"t={_fmt(t)} re={_fmt(v.real)} im={_fmt(v.imag)}" for t, v in zip(ts, vals))
+    if not lines:
         raise ValueError("nothing to do: pass --bound, --band-center, --esd or --direction")
+    print("\n".join(lines))
     if args.out and values is not None:
         _write_csv(args.out, enumerate(values.tolist()), header="ring_index,value")
     return 0
@@ -233,19 +233,22 @@ def cmd_shapley(args):
         raise ValueError(f"--mc-perms must be at least 1, got {args.mc_perms}")
     _check_seed(args.seed)
     game = specgame.load_game_csv(args.game, n_players=args.players)
+    # every line is computed before any is printed, so a refused input
+    # leaves stdout empty
+    lines = []
     if args.mc_perms is not None:
         psi, err_bound = specgame.shapley_mc(
             game, game.n_players, args.mc_perms, seed=args.seed
         )
-        print(f"err_bound = {_fmt(err_bound)}")
+        lines.append(f"err_bound = {_fmt(err_bound)}")
     else:
         psi = specgame.shapley_exact(game)
-    for i, val in enumerate(psi):
-        print(f"psi[{i}] = {_fmt(val)}")
-    print(f"efficiency = {_fmt(psi.sum())}")
+    lines += (f"psi[{i}] = {_fmt(val)}" for i, val in enumerate(psi))
+    lines.append(f"efficiency = {_fmt(psi.sum())}")
     if args.score:
         beta = _parse_vector(args.beta, "beta") if args.beta else None
-        print(f"score = {_fmt(specgame.importance_score(psi, beta))}")
+        lines.append(f"score = {_fmt(specgame.importance_score(psi, beta))}")
+    print("\n".join(lines))
     if args.out:
         _write_csv(args.out, enumerate(psi.tolist()), header="player,psi")
     return 0
@@ -340,11 +343,12 @@ def main(argv=None):
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = args.fn(args)
-        except (LipkitError, ArithmeticError, ValueError, OSError) as exc:
-            # a library error carries its code; of the builtins, an overflow
-            # or division by zero is a numeric failure, the rest bad input
-            code = getattr(exc, "exit_code", 5 if isinstance(exc, ArithmeticError) else 2)
-            failure = f"{_LABELS[code]}: {exc}"
+        except (LipkitError, ArithmeticError, MemoryError, ValueError, OSError) as exc:
+            # a library error carries its code; of the builtins, an overflow,
+            # a division by zero or a refused allocation is a numeric
+            # failure, the rest bad input
+            code = getattr(exc, "exit_code", 2 if isinstance(exc, (ValueError, OSError)) else 5)
+            failure = f"{_LABELS[code]}: {str(exc) or type(exc).__name__}"
             if getattr(exc, "gap", None) is not None:
                 failure += f" (gap = {exc.gap:.6e})"
     for w in caught:

@@ -9,6 +9,7 @@ same shifted layout.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -72,11 +73,7 @@ class SpectralSignal:
 
     def freq_norm_grid(self):
         """||zeta||_2 per spectrum bin, in the shifted layout."""
-        axes = self.freq_axes
-        if self.dim == 1:
-            return np.abs(axes[0])
-        fx, fy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.hypot(fx, fy)
+        return functools.reduce(np.hypot, np.meshgrid(*self.freq_axes, indexing="ij"), 0.0)
 
     def freq_cell(self):
         """Volume of one frequency bin: prod of 1/(n_i * dx_i)."""
@@ -117,21 +114,22 @@ def spectral_lipschitz_bound(s: SpectralSignal) -> float:
 
 
 def grid_gradient_sup(s: SpectralSignal) -> float:
-    """sup of ||grad f||_2 measured by central differences on the grid."""
-    grads = np.gradient(s.samples, *s.spacing)
-    if s.dim == 1:
-        return float(np.max(np.abs(grads)))
-    return float(np.max(np.hypot(*grads)))
+    """sup of ||grad f||_2 measured by central differences on the grid;
+    refuses a grid with fewer than 2 samples along an axis."""
+    if min(s.grid) < 2:
+        raise ValueError(f"grid gradient needs at least 2 samples per axis, got grid {s.grid}")
+    grads = (np.gradient(s.samples, h, axis=k) for k, h in enumerate(s.spacing))
+    return float(np.max(functools.reduce(np.hypot, grads, 0.0)))
 
 
 def directional_transform(s: SpectralSignal, direction, t_grid) -> np.ndarray:
     """Transform values along the frequency line t * direction, by direct
     summation of f(x) exp(-2*pi*i*t*<direction, x>) times the cell volume.
 
-    On a 2-D grid the phase is a product of per-axis factors, so T values of
-    t take T*(n_x + n_y) exponentials and T*n_x*n_y multiply-adds (see
-    ``_kernels.direct_dft``). A non-finite direction raises NotUnit and a
-    non-finite t ValueError."""
+    The phase is a product of per-axis factors, so T values of t take
+    T*(n_x + n_y) exponentials and T*n_x*n_y multiply-adds; a 1-D signal is
+    the n_y = 1 case (see ``_kernels.direct_dft``). A non-finite direction
+    raises NotUnit and a non-finite t ValueError."""
     direction = np.asarray(direction, dtype=np.float64)
     if direction.shape != (s.dim,):
         raise NotUnit(f"direction must have length {s.dim}")
@@ -160,14 +158,9 @@ def _ball_masks(s: SpectralSignal, center, radius):
         raise ValueError(f"center must have length {s.dim}")
     if not np.all(np.isfinite(center)):
         raise ValueError(f"center must be finite, got {center.tolist()}")
-    axes = s.freq_axes
-    if s.dim == 1:
-        dist = np.abs(axes[0] - center[0])
-        mirror = np.abs(axes[0] + center[0])
-    else:
-        fx, fy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        dist = np.hypot(fx - center[0], fy - center[1])
-        mirror = np.hypot(fx + center[0], fy + center[1])
+    grids = np.meshgrid(*s.freq_axes, indexing="ij")
+    dist = functools.reduce(np.hypot, (f - c for f, c in zip(grids, center)), 0.0)
+    mirror = functools.reduce(np.hypot, (f + c for f, c in zip(grids, center)), 0.0)
     return dist <= radius, mirror <= radius
 
 

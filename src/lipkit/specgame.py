@@ -247,6 +247,8 @@ def importance_score(psi, beta=None) -> float:
         raise DegenerateWeights(f"beta must have length {m}")
     if np.any(beta < 0):
         raise DegenerateWeights("beta weights must be nonnegative")
+    if not np.all(np.isfinite(beta)):
+        raise DegenerateWeights(f"beta weights must be finite, got {beta.tolist()}")
     norm2 = float(np.linalg.norm(beta))
     if norm2 == 0.0:
         raise DegenerateWeights("beta weights are all zero")

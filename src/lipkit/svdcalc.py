@@ -340,8 +340,8 @@ def _column_bumps(a: DenseMatrix, step: float, compute_uv: bool):
     Every bumped matrix gets its own SVD; a column at a time bounds the
     working memory to O(m (mn + m^2 + n^2)).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     m, n = a.shape
     rows = np.arange(m)
     for j in range(n):

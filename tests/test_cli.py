@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lipkit import activations
 from lipkit.cli import build_parser, main
 from lipkit.matcore import DenseMatrix, load_matrix_csv, save_matrix_csv
 
@@ -182,17 +183,29 @@ class TestSvdDeriv:
         assert out == ""
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("order", ["1", "2"])
-    def test_zero_step_exits_2(self, capsys, tmp_path, order):
+    @pytest.mark.parametrize("order, step", [
+        pytest.param(order, step, id=order if step == "0" else f"{step}-{order}")
+        for step in ("0", "nan", "inf", "-inf") for order in ("1", "2")
+    ])
+    def test_zero_step_exits_2(self, capsys, tmp_path, order, step):
         mat_path = tmp_path / "m.csv"
         save_matrix_csv(mat_path, DenseMatrix(np.diag([2.0, 1.0])))
         code, out, err = run(
             capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", order,
-            "--check-fd", "--step", "0",
+            "--check-fd", f"--step={step}",
         )
         assert code == 2
         assert out == ""
-        assert "step must be positive" in err
+        assert err == f"error: step must be positive and finite, got {float(step)}\n"
+
+    def test_step_without_check_fd_exits_2(self, capsys, tmp_path):
+        mat_path = tmp_path / "m.csv"
+        save_matrix_csv(mat_path, DenseMatrix(np.diag([2.0, 1.0])))
+        code, out, err = run(
+            capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", "1",
+            "--step", "1e-4",
+        )
+        assert (code, out, err) == (2, "", "error: --step needs --check-fd\n")
 
     def test_degenerate_exits_four_with_gap(self, capsys, tmp_path):
         mat_path = tmp_path / "eye.csv"
@@ -304,10 +317,12 @@ class TestFourier:
              "center-nan"],
     )
     def test_non_finite_line_or_ball_exits_2(self, capsys, gauss_csv, flags, text):
-        code, out, err = run(capsys, "fourier", "--signal", gauss_csv, *flags)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {text}\n"
+        # also after --bound, whose lines must not be printed either
+        for bound in ((), ("--bound",)):
+            code, out, err = run(capsys, "fourier", "--signal", gauss_csv, *bound, *flags)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {text}\n"
 
     @pytest.mark.parametrize(
         "flags, text",
@@ -339,6 +354,31 @@ class TestFourier:
         expect = run(capsys, "fourier", "--signal", gauss_csv, *eq_form)
         assert expect[0] == 0
         assert run(capsys, "fourier", "--signal", gauss_csv, *flags) == expect
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--direction", "1,1"],
+            ["--esd", "2", "--snr", "line.csv"],
+            ["--band-center", "100,100", "--band-radius", "0.01"],
+        ],
+        ids=["non-unit-direction", "snr-of-a-1d-signal", "empty-band"],
+    )
+    def test_refusal_after_bound_prints_nothing(self, capsys, tmp_path, flags):
+        (tmp_path / "line.csv").write_text("# dx=1\n" + "1\n" * 16)
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        code, out, err = run(capsys, "fourier", "--signal", _signal(tmp_path, "s.csv", 16),
+                             "--bound", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_one_sample_bound_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("# dx=1\n1\n")
+        code, out, err = run(capsys, "fourier", "--signal", str(path), "--bound")
+        assert (code, out) == (2, "")
+        assert err == "error: grid gradient needs at least 2 samples per axis, got grid (1,)\n"
 
 
 class TestDynamics:
@@ -449,6 +489,20 @@ class TestShapley:
         assert [f"psi[{i}] = {val}" for i, val in enumerate(psi)] == [
             line for line in out.splitlines() if line.startswith("psi")
         ]
+
+    @pytest.mark.parametrize(
+        "beta, text",
+        [
+            ("1,2", "beta must have length 3"),
+            ("1,2,nan", "beta weights must be finite, got [1.0, 2.0, nan]"),
+            ("1,2,inf", "beta weights must be finite, got [1.0, 2.0, inf]"),
+        ],
+        ids=["short", "nan", "inf"],
+    )
+    def test_refused_beta_prints_nothing(self, capsys, tmp_path, beta, text):
+        argv = _game(tmp_path, "0,0\n1,1\n2,1\n3,2\n4,1\n5,2\n6,2\n7,3\n")
+        code, out, err = run(capsys, *argv, "--score", "--beta", beta)
+        assert (code, out, err) == (2, "", f"error: {text}\n")
 
     def test_non_finite_value_exits_2_naming_the_line(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
@@ -774,3 +828,17 @@ def test_nan_bound_exits_5(capsys, tmp_path, method):
     assert code == 5
     assert out == "" and not out_path.exists()
     assert err.startswith("numeric error: bound is nan")
+
+
+def test_refused_allocation_exits_5(capsys, monkeypatch):
+    # numpy refuses the dim x dim Jacobian of a 100000-logit softmax with a
+    # MemoryError; raised here without asking for the memory
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(activations, "numeric_softmax_lipschitz", refuse)
+    code, out, err = run(capsys, "activation", "--name", "softmax", "--dim", "100000", "--numeric")
+    assert (code, out) == (5, "")
+    assert err == (
+        "numeric error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
+    )

@@ -1,6 +1,7 @@
 """Fuzz the four input readers (network JSON, matrix, signal and game CSV)
 through ``cli.main``: whatever a file holds, the CLI exits 0 or with one of
-the error codes 2-5 and raises nothing."""
+the error codes 2-5, raises nothing, and prints nothing on stdout when it
+refuses the input."""
 
 import contextlib
 import io
@@ -67,13 +68,17 @@ def _replace(doc, path, value):
 
 def _run(name, text, *argv):
     """Write ``text`` to a fresh file and run the CLI on it (``{}`` in argv
-    is the file's path); returns the exit code."""
+    is the file's path); returns the exit code, once a nonzero code is seen
+    to come with an empty stdout."""
+    out = io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, name)
         with open(path, "w") as fh:
             fh.write(text)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main([path if arg == "{}" else arg for arg in argv])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([path if arg == "{}" else arg for arg in argv])
+    assert code == 0 or out.getvalue() == "", (code, out.getvalue())
+    return code
 
 
 @given(st.sampled_from(list(_paths(VALID_NET))), JSON_VALUES,

@@ -108,6 +108,11 @@ class TestSpectralBound:
         s = SpectralSignal(f, (1.0 / n,))
         assert grid_gradient_sup(s) <= spectral_lipschitz_bound(s) * 1.02
 
+    @pytest.mark.parametrize("shape", [(1,), (1, 5), (5, 1)])
+    def test_gradient_needs_two_samples_per_axis(self, shape):
+        with pytest.raises(ValueError, match="at least 2 samples per axis"):
+            grid_gradient_sup(SpectralSignal(np.ones(shape), (1.0,) * len(shape)))
+
 
 class TestDirectionalTransform:
     def test_separable_matches_marginal(self, rng):
@@ -154,6 +159,14 @@ class TestDirectionalTransform:
         # t = k / (n dx) lands on DFT bin k
         got = directional_transform(s, [1.0], np.arange(6) / 8.0)
         np.testing.assert_allclose(got, np.fft.fft(s.samples)[:6] * 0.25, atol=1e-12)
+
+    def test_1d_is_the_one_column_grid(self, rng):
+        # a 1-D signal runs through the 2-D sum, so the two agree bit for bit
+        samples = rng.standard_normal(257)
+        ts = np.linspace(-5.0, 60.0, 64)
+        line = directional_transform(SpectralSignal(samples, 0.01), [1.0], ts)
+        column = directional_transform(SpectralSignal(samples[:, None], (0.01, 1.0)), [1.0, 0.0], ts)
+        np.testing.assert_array_equal(line, column)
 
 
 class TestBandRemove:

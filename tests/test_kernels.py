@@ -28,6 +28,20 @@ def test_power_iterate_converges_to_spectral_norm(rng):
     assert history[-1] == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
 
+def test_power_iterate_two_products_per_step(rng):
+    # one product with A and one with A^T per step, plus the two that start it
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    a = rng.standard_normal((6, 4))
+    _kernels.power_iterate(a.view(Counted), a.T.copy().view(Counted), rng.standard_normal(6), 10)
+    assert len(products) == 2 + 2 * 10
+
+
 def shapley_loop(values, weights, popcounts, n_players):
     """Explicit per-mask sum of weighted marginal contributions."""
     psi = np.zeros(n_players)
@@ -128,15 +142,6 @@ def test_direct_dft_2d_matches_cos_sin_loop(rng):
         direct_dft_loop(grid.ravel(), proj, ts, 0.21),
         atol=1e-12,
     )
-
-
-def test_direct_dft_1d_is_the_phase_matrix_product(rng):
-    # the 1-D sum keeps the (T x n) phase-matrix expression, bit for bit
-    samples = rng.standard_normal(257)
-    proj = 0.6 * (0.01 * np.arange(257))
-    ts = np.linspace(-5.0, 60.0, 64)
-    expect = (np.exp(-2j * np.pi * np.outer(ts, proj)) @ samples) * 0.01
-    np.testing.assert_array_equal(_kernels.direct_dft(samples, (proj,), ts, 0.01), expect)
 
 
 def test_direct_dft_2d_memory_stays_small():
