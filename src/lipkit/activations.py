@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
 from scipy.special import erf, expit, softmax
 
 from .errors import NotSimplex, UnknownActivation
@@ -27,9 +26,10 @@ NAMES = ELEMENTWISE + ("softmax",)
 _PROBE = np.linspace(-6.0, 6.0, 24)
 _FD_STEP = 1e-5
 _FD_TOL = 1e-6
-# softmax's sup 1/2 lies at diverging logits, where objective gap and gradient
-# vanish together: tight tolerances let the search run on to this box's faces
+# softmax's sup 1/2 lies at diverging logits: sign steps of 1 carry the search
+# on to this box's faces, where the two leading logits become equal
 _LOGIT_BOX = 20.0
+_BLOCK_BYTES = 2**20  # softmax starts advance in blocks of Jacobians this large
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,13 @@ def make_activation(name: str, alpha: float = 1.0, dim: int = 0) -> ActivationSp
 
 @functools.lru_cache(maxsize=1)
 def _swish_constant():
-    # maximizer of d/dx [x*sigmoid(x)] solves x * tanh(x/2) = 2
-    x_star = scipy.optimize.brentq(
-        lambda x: x * math.tanh(0.5 * x) - 2.0, 2.0, 3.0, xtol=1e-14
-    )
-    return 0.5 + 0.25 * x_star
+    # maximizer of d/dx [x*sigmoid(x)] solves x * tanh(x/2) = 2; Newton from 2.5
+    # reaches its fixed point in 3 steps
+    x = 2.5
+    for _ in range(6):
+        t = math.tanh(0.5 * x)
+        x -= (x * t - 2.0) / (t + 0.5 * x * (1.0 - t * t))
+    return 0.5 + 0.25 * x
 
 
 def closed_form_lipschitz(a: ActivationSpec) -> float:
@@ -143,9 +145,9 @@ class NumericLipschitz:
 def numeric_scalar_lipschitz(
     a: ActivationSpec, domain=(-20.0, 20.0), grid: int = 2048
 ) -> NumericLipschitz:
-    """sup |f'| over a dense grid, refined by a bounded search in the
-    bracketing cells. Suprema approached only at the boundary (softplus)
-    are reported with attained=False rather than clamped."""
+    """sup |f'| over a dense grid, refined by 4 passes of 2049 points over
+    the cells around the best point so far. Suprema approached only at the
+    boundary (softplus) are reported with attained=False rather than clamped."""
     if a.name == "softmax":
         raise UnknownActivation("softmax is not elementwise; use numeric_softmax_lipschitz")
     if grid < 64:
@@ -157,18 +159,13 @@ def numeric_scalar_lipschitz(
     vals = np.abs(a.scalar_derivative(xs))
     idx = int(np.argmax(vals))
     best_x, best = float(xs[idx]), float(vals[idx])
-    left = xs[max(0, idx - 1)]
-    right = xs[min(grid - 1, idx + 1)]
-    if right > left:
-        res = scipy.optimize.minimize_scalar(
-            lambda x: -abs(float(a.scalar_derivative(np.asarray(x)))),
-            bounds=(left, right),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if -res.fun > best:
-            best, best_x = float(-res.fun), float(res.x)
     attained = not (idx == 0 or idx == grid - 1)
+    for _ in range(4):
+        xs = np.linspace(xs[max(0, idx - 1)], xs[min(len(xs) - 1, idx + 1)], 2049)
+        vals = np.abs(a.scalar_derivative(xs))
+        idx = int(np.argmax(vals))
+        if vals[idx] > best:
+            best, best_x = float(vals[idx]), float(xs[idx])
     return NumericLipschitz(value=best, attained=attained, argmax=best_x)
 
 
@@ -184,39 +181,47 @@ def softmax_jacobian(p) -> DenseMatrix:
     return DenseMatrix(np.diag(p) - np.outer(p, p))
 
 
-def _neg_top_eigenvalue(z):
-    """-lam_max of diag(p) - p p^T at p = softmax(z), and its gradient in z."""
+def _top_eigenvalues(z):
+    """lam_max of diag(p) - p p^T at p = softmax(z), and its gradient, per row of z."""
     # dlam = v^T dJ v = dp^T g with g = v*v - 2 (v^T p) v; dp = J dz
-    p = softmax(z)
-    w, vecs = np.linalg.eigh(np.diag(p) - np.outer(p, p))
-    v = vecs[:, -1]
-    g = v * v - 2.0 * (v @ p) * v
-    return -w[-1], -(p * g - p * (p @ g))
+    p = softmax(z, axis=1)
+    jac = -p[:, :, None] * p[:, None, :]
+    jac.reshape(len(p), -1)[:, :: p.shape[1] + 1] += p
+    lam, v = (top[..., -1] for top in np.linalg.eigh(jac))
+    g = v * v - 2.0 * np.sum(v * p, axis=1, keepdims=True) * v
+    return lam, p * g - p * np.sum(p * g, axis=1, keepdims=True)
 
 
 def numeric_softmax_lipschitz(dim: int, restarts: int = 10, seed: int = 0) -> float:
-    """Maximize ||diag(p) - p p^T||_2 over logits in +-_LOGIT_BOX by seeded
-    multi-start L-BFGS-B with the analytic gradient. The supremum 1/2 is
-    approached as the mass concentrates on two coordinates."""
+    """Maximize ||diag(p) - p p^T||_2 over logits in +-_LOGIT_BOX. The seeded
+    starts advance together by projected sign-gradient steps of 1; each stops
+    once its value has not risen for 3 steps, or after 4 * _LOGIT_BOX. The
+    supremum 1/2 is approached as the mass concentrates on two coordinates."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_BYTES // (8 * dim * dim))
     best = 0.0
-    for trial in range(restarts):
-        if trial == 0:
-            z0 = np.zeros(dim)
-        elif trial % 2 == 1:
-            z0 = rng.standard_normal(dim) * 3.0
-        else:
-            # two-coordinate head start: most of the mass on a random pair
-            z0 = np.full(dim, -4.0)
-            i, j = rng.choice(dim, size=2, replace=False)
-            z0[i] = z0[j] = 4.0
-        res = scipy.optimize.minimize(
-            _neg_top_eigenvalue, z0, jac=True, method="L-BFGS-B",
-            bounds=[(-_LOGIT_BOX, _LOGIT_BOX)] * dim, options={"ftol": 1e-16, "gtol": 1e-14},
-        )
-        best = max(best, -float(res.fun))
+    for first in range(0, restarts, block):
+        z = np.zeros((min(block, restarts - first), dim))
+        for row, trial in enumerate(range(first, first + len(z))):
+            if trial % 2 == 1:
+                z[row] = rng.standard_normal(dim) * 3.0
+            elif trial > 0:
+                # two-coordinate head start: most of the mass on a random pair
+                z[row] = -4.0
+                z[row, rng.choice(dim, size=2, replace=False)] = 4.0
+        top, stalled = np.full(len(z), -np.inf), np.zeros(len(z))
+        for _ in range(int(4 * _LOGIT_BOX)):
+            lam, grad = _top_eigenvalues(z)
+            best = max(best, float(lam.max()))
+            stalled = np.where(lam > top, 0, stalled + 1)
+            top = np.maximum(top, lam)
+            live = stalled < 3
+            if not live.any():
+                break
+            z = np.clip(z[live] + np.sign(grad[live]), -_LOGIT_BOX, _LOGIT_BOX)
+            top, stalled = top[live], stalled[live]
     return best

@@ -38,15 +38,24 @@ def _check_seed(seed):
         raise ValueError(f"--seed must be nonnegative, got {seed}")
 
 
+def _open_out(path):
+    """``path`` opened for writing, or a null context without a path. Each
+    command opens its output file before its first stdout line, so a path
+    that cannot be written leaves stdout empty."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
 def load_network_json(path) -> netbounds.NetworkGraph:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        return netbounds.graph_from_doc(doc)
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return netbounds.graph_from_doc(doc)
 
 
 def cmd_bound(args):
@@ -60,6 +69,7 @@ def cmd_bound(args):
         g, spectral=args.spectral, iters=args.iters, seed=args.seed
     )
     per_node_s = None
+    lines = []
     if args.method == "product":
         chain = g.topo_order
         bound = netbounds.product_bound(chain, g, lips=lips)
@@ -69,9 +79,9 @@ def cmd_bound(args):
     else:
         res = netbounds.articulation_bound(g, lips=lips)
         bound = res.bound
-        print("cut_vertices:", ",".join(res.cut_vertices) or "(none)")
-        print("subdag_bounds:", " ".join(_fmt(b) for b in res.subdag_bounds))
-    print(f"bound = {_fmt(bound)}")
+        lines.append(f"cut_vertices: {','.join(res.cut_vertices) or '(none)'}")
+        lines.append(f"subdag_bounds: {' '.join(_fmt(b) for b in res.subdag_bounds)}")
+    lines.append(f"bound = {_fmt(bound)}")
     for nid in g.topo_order:
         nl = lips[nid]
         line = f"node {nid} lip={_fmt(nl.lip)} provenance={nl.provenance}"
@@ -79,11 +89,13 @@ def cmd_bound(args):
             line += f" iters={nl.iterations} seed={nl.seed}"
         if per_node_s is not None:
             line += f" S={_fmt(per_node_s[nid])}"
-        print(line)
-    if args.out:
-        s_vals = per_node_s or dict.fromkeys(g.topo_order, "")
-        rows = ((nid, lips[nid].lip, lips[nid].provenance, s_vals[nid]) for nid in g.topo_order)
-        _write_csv(args.out, rows, header="node,lip,provenance,S")
+        lines.append(line)
+    with _open_out(args.out) as fh:
+        print("\n".join(lines))
+        if fh is not None:
+            s_vals = per_node_s or dict.fromkeys(g.topo_order, "")
+            rows = ((nid, lips[nid].lip, lips[nid].provenance, s_vals[nid]) for nid in g.topo_order)
+            _write_csv(fh, rows, header="node,lip,provenance,S")
     return 0
 
 
@@ -105,7 +117,7 @@ def cmd_svd_deriv(args):
         dev = np.max(np.abs(diff, out=diff))
     # checked before anything is written, so a failed check leaves no --out
     # file; each row is formatted once for both stdout and --out
-    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+    with _open_out(args.out) as fh:
         for line in matrix_csv_lines(result):
             print(line, end="")
             if fh is not None:
@@ -188,9 +200,10 @@ def cmd_fourier(args):
         lines += (f"t={_fmt(t)} re={_fmt(v.real)} im={_fmt(v.imag)}" for t, v in zip(ts, vals))
     if not lines:
         raise ValueError("nothing to do: pass --bound, --band-center, --esd or --direction")
-    print("\n".join(lines))
-    if args.out and values is not None:
-        _write_csv(args.out, enumerate(values.tolist()), header="ring_index,value")
+    with _open_out(args.out if values is not None else None) as fh:
+        print("\n".join(lines))
+        if fh is not None:
+            _write_csv(fh, enumerate(values.tolist()), header="ring_index,value")
     return 0
 
 
@@ -218,13 +231,14 @@ def cmd_dynamics(args):
         rows = dynamics.trajectory_stats(
             traj, args.steps, state, store_every=args.store_every
         )
-    print(f"sigma1 = {_fmt(state.sigma1)}")
-    print(f"mu = {_fmt(forces.mu)}")
-    print(f"kappa = {_fmt(forces.kappa)}")
-    print(f"lambda_norm = {_fmt(np.linalg.norm(forces.lam))}")
-    if args.traj_out:
-        _write_csv(args.traj_out, rows, header="step,sigma1,Z,mu,kappa,lambda_norm")
-        print(f"trajectory written to {args.traj_out}")
+    with _open_out(args.traj_out) as fh:
+        print(f"sigma1 = {_fmt(state.sigma1)}")
+        print(f"mu = {_fmt(forces.mu)}")
+        print(f"kappa = {_fmt(forces.kappa)}")
+        print(f"lambda_norm = {_fmt(np.linalg.norm(forces.lam))}")
+        if fh is not None:
+            _write_csv(fh, rows, header="step,sigma1,Z,mu,kappa,lambda_norm")
+            print(f"trajectory written to {args.traj_out}")
     return 0
 
 
@@ -248,20 +262,22 @@ def cmd_shapley(args):
     if args.score:
         beta = _parse_vector(args.beta, "beta") if args.beta else None
         lines.append(f"score = {_fmt(specgame.importance_score(psi, beta))}")
-    print("\n".join(lines))
-    if args.out:
-        _write_csv(args.out, enumerate(psi.tolist()), header="player,psi")
+    with _open_out(args.out) as fh:
+        print("\n".join(lines))
+        if fh is not None:
+            _write_csv(fh, enumerate(psi.tolist()), header="player,psi")
     return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reads any token that starts like a negative number (``-2,1``,
-    ``-1e-3``) as a value, so ``--band-center -2,1`` works like
-    ``--band-center=-2,1``. No lipkit option starts with a digit."""
+    ``-1e-3``, ``-inf``, ``-NaN``) as a value, so ``--band-center -2,1``
+    works like ``--band-center=-2,1``. No lipkit option starts with a digit,
+    ``inf`` or ``nan``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser():

@@ -255,7 +255,8 @@ def snr(clean: SpectralSignal, noise: SpectralSignal, n_rings: int) -> np.ndarra
 
 def save_signal_csv(path, s: SpectralSignal):
     header = " ".join(f"{key}={_fmt(h)}" for key, h in zip(("dx", "dy"), s.spacing))
-    _write_csv(path, s.samples.reshape(s.grid[0], -1).tolist(), header="# " + header)
+    with open(path, "w") as fh:
+        _write_csv(fh, s.samples.reshape(s.grid[0], -1).tolist(), header="# " + header)
 
 
 def load_signal_csv(path) -> SpectralSignal:

@@ -209,17 +209,16 @@ def _fmt(x) -> str:
     return _FLOAT % float(x)
 
 
-def _write_csv(path, rows, header=None):
-    """Write ``header`` (a line without its end, if given) and one line per
-    row of ``rows``: its fields joined by commas, each float by
-    :func:`_fmt` and any other field by ``str``."""
-    with open(path, "w") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        fh.writelines(
-            ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n"
-            for row in rows
-        )
+def _write_csv(fh, rows, header=None):
+    """Write to the text file ``fh`` ``header`` (a line without its end, if
+    given) and one line per row of ``rows``: its fields joined by commas,
+    each float by :func:`_fmt` and any other field by ``str``."""
+    if header is not None:
+        fh.write(header + "\n")
+    fh.writelines(
+        ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n"
+        for row in rows
+    )
 
 
 def matrix_csv_lines(m: DenseMatrix):

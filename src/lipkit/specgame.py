@@ -269,7 +269,8 @@ def importance_score(psi, beta=None) -> float:
 # ---------------------------------------------------------------------------
 
 def save_game_csv(path, game: CoalitionGame):
-    _write_csv(path, enumerate(game.values.tolist()))
+    with open(path, "w") as fh:
+        _write_csv(fh, enumerate(game.values.tolist()))
 
 
 def _read_game(fh, n_players):

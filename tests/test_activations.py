@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from lipkit import activations
 from lipkit.activations import (
-    _neg_top_eigenvalue,
+    NAMES,
+    _LOGIT_BOX,
+    _swish_constant,
+    _top_eigenvalues,
     closed_form_lipschitz,
     make_activation,
     numeric_scalar_lipschitz,
@@ -35,6 +39,11 @@ class TestClosedForms:
         assert closed_form_lipschitz(make_activation("swish")) == pytest.approx(
             SWISH_K, abs=1e-9
         )
+
+    def test_swish_constant_bits(self):
+        # 1 ulp below the double nearest the exact 1.09983932012886691...
+        _swish_constant.cache_clear()
+        assert _swish_constant() == 1.0998393201288668
 
     def test_gelu_appendix_digits(self):
         assert closed_form_lipschitz(make_activation("gelu")) == pytest.approx(
@@ -187,19 +196,39 @@ class TestNumericSoftmax:
     def test_gradient_matches_central_differences(self, dim):
         step = 1e-6
         for z in np.random.default_rng(dim).standard_normal((5, dim)) * 2.0:
-            _, grad = _neg_top_eigenvalue(z)
-            fd = np.array(
-                [
-                    (_neg_top_eigenvalue(z + step * e)[0] - _neg_top_eigenvalue(z - step * e)[0])
-                    / (2 * step)
-                    for e in np.eye(dim)
-                ]
-            )
+            grad = _top_eigenvalues(z[None])[1][0]
+            lam, _ = _top_eigenvalues(np.vstack([z + step * np.eye(dim), z - step * np.eye(dim)]))
+            fd = (lam[:dim] - lam[dim:]) / (2 * step)
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 10, 32])
     def test_reaches_half(self, dim):
         assert abs(numeric_softmax_lipschitz(dim) - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 10, 16, 32, 64])
+    def test_reaches_half_from_every_seed(self, dim):
+        for seed in range(10):
+            assert abs(numeric_softmax_lipschitz(dim, seed=seed) - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_uniform_start_alone_reaches_half(self, dim):
+        assert abs(numeric_softmax_lipschitz(dim, restarts=1) - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("dim", [8, 32])
+    def test_block_size_does_not_change_the_float(self, monkeypatch, dim, block):
+        default = numeric_softmax_lipschitz(dim)
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def recording(a):
+            stacks.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        monkeypatch.setattr(activations, "_BLOCK_BYTES", 8 * dim * dim * block)
+        assert numeric_softmax_lipschitz(dim) == default
+        assert max(stacks) == block
 
     def test_same_seed_same_float(self):
         assert numeric_softmax_lipschitz(8, seed=3) == numeric_softmax_lipschitz(8, seed=3)
@@ -215,4 +244,23 @@ class TestNumericSoftmax:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         numeric_softmax_lipschitz(8, restarts=10, seed=0)
-        assert 0 < len(calls) <= 2000
+        assert 0 < len(calls) <= 4 * _LOGIT_BOX
+
+
+def test_no_scipy_optimize_needed(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize called")
+
+    for name in ("minimize", "minimize_scalar", "brentq"):
+        monkeypatch.setattr(scipy.optimize, name, refuse)
+    _swish_constant.cache_clear()
+    for name in NAMES:
+        spec = make_activation(name, dim=3)
+        closed = closed_form_lipschitz(spec)
+        if name == "softmax":
+            numeric = numeric_softmax_lipschitz(3)
+        else:
+            numeric = numeric_scalar_lipschitz(spec).value
+        assert abs(numeric - closed) <= 1e-6

@@ -81,6 +81,12 @@ class TestBound:
         assert code == 2
         assert "line" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"nodes": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        code, out, err = run(capsys, "bound", "--net", str(deep))
+        assert (code, out, err) == (2, "", f"error: {deep}: nested too deeply\n")
+
     def test_missing_field_diagnostic(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nodes": [{"id": "s"}], "edges": []}))
@@ -183,16 +189,20 @@ class TestSvdDeriv:
         assert out == ""
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("order, step", [
-        pytest.param(order, step, id=order if step == "0" else f"{step}-{order}")
+    @pytest.mark.parametrize("order, step, spaced", [
+        pytest.param(order, step, False, id=order if step == "0" else f"{step}-{order}")
         for step in ("0", "nan", "inf", "-inf") for order in ("1", "2")
+    ] + [
+        # a negative value after a space is a value, in any spelling
+        pytest.param(order, step, True, id=f"spaced{step}-{order}")
+        for step in ("-inf", "-Infinity", "-NaN") for order in ("1", "2")
     ])
-    def test_zero_step_exits_2(self, capsys, tmp_path, order, step):
+    def test_zero_step_exits_2(self, capsys, tmp_path, order, step, spaced):
         mat_path = tmp_path / "m.csv"
         save_matrix_csv(mat_path, DenseMatrix(np.diag([2.0, 1.0])))
         code, out, err = run(
             capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", order,
-            "--check-fd", f"--step={step}",
+            "--check-fd", *(["--step", step] if spaced else [f"--step={step}"]),
         )
         assert code == 2
         assert out == ""
@@ -496,8 +506,9 @@ class TestShapley:
             ("1,2", "beta must have length 3"),
             ("1,2,nan", "beta weights must be finite, got [1.0, 2.0, nan]"),
             ("1,2,inf", "beta weights must be finite, got [1.0, 2.0, inf]"),
+            ("-inf,1,1", "beta weights must be nonnegative"),
         ],
-        ids=["short", "nan", "inf"],
+        ids=["short", "nan", "inf", "-inf"],
     )
     def test_refused_beta_prints_nothing(self, capsys, tmp_path, beta, text):
         argv = _game(tmp_path, "0,0\n1,1\n2,1\n3,2\n4,1\n5,2\n6,2\n7,3\n")
@@ -842,3 +853,19 @@ def test_refused_allocation_exits_5(capsys, monkeypatch):
     assert err == (
         "numeric error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
     )
+
+
+@pytest.mark.parametrize("command", ["bound", "fourier", "dynamics", "shapley"])
+def test_unwritable_output_file_exits_2_printing_nothing(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing" / "out.csv")
+    argv = {
+        "bound": lambda: _network(tmp_path, _net_with({"id": "a", "kind": "linear", "weight_ref": "w"}))
+        + ["--out", missing],
+        "fourier": lambda: ["fourier", "--signal", _signal(tmp_path, "s.csv", 4), "--esd", "2",
+                            "--out", missing],
+        "dynamics": lambda: _dynamics(tmp_path, np.eye(4)) + ["--traj-out", missing],
+        "shapley": lambda: _game(tmp_path, "0,0\n1,1\n2,2\n3,5\n") + ["--out", missing],
+    }[command]()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
