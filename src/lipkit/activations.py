@@ -18,9 +18,6 @@ from scipy.special import erf, expit, softmax
 from .errors import NotSimplex, UnknownActivation
 from .matcore import DenseMatrix
 
-ELEMENTWISE = ("relu", "leaky_relu", "sigmoid", "tanh", "softplus", "elu", "swish", "gelu")
-NAMES = ELEMENTWISE + ("softmax",)
-
 # probe points for the fn/derivative consistency check; none sits on the
 # relu/elu kink at 0
 _PROBE = np.linspace(-6.0, 6.0, 24)
@@ -69,41 +66,6 @@ def _norm_cdf(x):
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-def make_activation(name: str, alpha: float = 1.0, dim: int = 0) -> ActivationSpec:
-    """Build the spec for a named activation from the supported table."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
-    if name == "softmax":
-        return ActivationSpec(name="softmax", dim=dim)
-    if name == "relu":
-        fn = lambda x: np.maximum(0.0, x)
-        d = lambda x: np.where(x > 0, 1.0, 0.0)
-    elif name == "leaky_relu":
-        fn = lambda x: np.maximum(alpha * x, x)
-        d = lambda x: np.where(alpha * x > x, alpha, 1.0)
-    elif name == "sigmoid":
-        fn = expit
-        d = lambda x: expit(x) * (1.0 - expit(x))
-    elif name == "tanh":
-        fn = np.tanh
-        d = lambda x: 1.0 - np.tanh(x) ** 2
-    elif name == "softplus":
-        fn = lambda x: np.logaddexp(0.0, x)
-        d = expit
-    elif name == "elu":
-        fn = lambda x: np.where(x > 0, x, alpha * np.expm1(np.minimum(x, 0.0)))
-        d = lambda x: np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
-    elif name == "swish":
-        fn = lambda x: x * expit(x)
-        d = lambda x: expit(x) + x * expit(x) * (1.0 - expit(x))
-    elif name == "gelu":
-        fn = lambda x: x * _norm_cdf(x)
-        d = lambda x: _norm_cdf(x) + x * _phi(x)
-    else:
-        raise UnknownActivation(f"unknown activation {name!r}")
-    return ActivationSpec(name=name, alpha=alpha, scalar_fn=fn, scalar_derivative=d)
-
-
 @functools.lru_cache(maxsize=1)
 def _swish_constant():
     # maximizer of d/dx [x*sigmoid(x)] solves x * tanh(x/2) = 2; Newton from 2.5
@@ -115,24 +77,53 @@ def _swish_constant():
     return 0.5 + 0.25 * x
 
 
+def _elementwise(alpha):
+    """name -> (f, f', exact sup |f'|) of each elementwise activation."""
+    return {
+        "relu": (lambda x: np.maximum(0.0, x), lambda x: np.where(x > 0, 1.0, 0.0), 1.0),
+        "leaky_relu": (
+            lambda x: np.maximum(alpha * x, x), lambda x: np.where(alpha * x > x, alpha, 1.0),
+            max(1.0, abs(alpha)),
+        ),
+        "sigmoid": (expit, lambda x: expit(x) * (1.0 - expit(x)), 0.25),
+        "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, 1.0),
+        "softplus": (lambda x: np.logaddexp(0.0, x), expit, 1.0),
+        "elu": (
+            lambda x: np.where(x > 0, x, alpha * np.expm1(np.minimum(x, 0.0))),
+            lambda x: np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0))),
+            max(1.0, abs(alpha)),
+        ),
+        "swish": (
+            lambda x: x * expit(x), lambda x: expit(x) + x * expit(x) * (1.0 - expit(x)),
+            _swish_constant(),
+        ),
+        # gelu's constant is Phi + x*phi at its critical point x = sqrt(2)
+        "gelu": (
+            lambda x: x * _norm_cdf(x), lambda x: _norm_cdf(x) + x * _phi(x),
+            0.5 * (1.0 + math.erf(1.0)) + math.exp(-1.0) / math.sqrt(math.pi),
+        ),
+    }
+
+
+ELEMENTWISE = tuple(_elementwise(1.0))
+NAMES = ELEMENTWISE + ("softmax",)
+
+
+def make_activation(name: str, alpha: float = 1.0, dim: int = 0) -> ActivationSpec:
+    """Build the spec for a named activation from the supported table."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+    if name not in NAMES:
+        raise UnknownActivation(f"unknown activation {name!r}")
+    if name == "softmax":
+        return ActivationSpec(name="softmax", dim=dim)
+    fn, d, _ = _elementwise(alpha)[name]
+    return ActivationSpec(name=name, alpha=alpha, scalar_fn=fn, scalar_derivative=d)
+
+
 def closed_form_lipschitz(a: ActivationSpec) -> float:
     """Exact Lipschitz constant of the activation."""
-    if a.name == "relu":
-        return 1.0
-    if a.name in ("leaky_relu", "elu"):
-        return max(1.0, abs(a.alpha))
-    if a.name == "sigmoid":
-        return 0.25
-    if a.name in ("tanh", "softplus"):
-        return 1.0
-    if a.name == "swish":
-        return _swish_constant()
-    if a.name == "gelu":
-        # value of Phi + x*phi at its critical point x = sqrt(2)
-        return 0.5 * (1.0 + math.erf(1.0)) + math.exp(-1.0) / math.sqrt(math.pi)
-    if a.name == "softmax":
-        return 0.5
-    raise UnknownActivation(f"unknown activation {a.name!r}")
+    return 0.5 if a.name == "softmax" else _elementwise(a.alpha)[a.name][2]
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,30 @@ from .matcore import _fmt, _write_csv, full_svd, load_matrix_csv, matrix_csv_lin
 _LABELS = {2: "error", 3: "graph error", 4: "degenerate spectrum", 5: "numeric error"}
 
 
-def _check_seed(seed):
-    # refused here so that the message names the flag, whichever
-    # generator (or none) the command goes on to use
-    if seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {seed}")
+def _flag(args, flag):
+    """The value of ``flag``, or None where it was not given."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return None if value is False else value
+
+
+def _check_flags(args):
+    """Refuse, in declaration order, a flag below its least value (each
+    subparser's ``least``: (flag, lowest) rows) or given without its companion
+    (``needs``: (flag, companion) rows), before the command reads any file and
+    whether or not it goes on to use the flag, so the message names the flag."""
+    for flag, lowest in args.least:
+        value = _flag(args, flag)
+        if value is not None and value < lowest:
+            rule = "nonnegative" if lowest == 0 else f"at least {lowest}"
+            raise ValueError(f"{flag} must be {rule}, got {value}")
+    for flag, companion in args.needs:
+        if _flag(args, flag) is not None and _flag(args, companion) is None:
+            raise ValueError(f"{flag} needs {companion}")
+
+
+def _passed(args, *names):
+    # the given flags as keyword arguments; the library's defaults apply to the rest
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _open_out(path):
@@ -59,11 +78,6 @@ def load_network_json(path) -> netbounds.NetworkGraph:
 
 
 def cmd_bound(args):
-    _check_seed(args.seed)
-    # refused before the net is read, whether or not a node is estimated
-    # by power iteration
-    if args.iters < 1:
-        raise ValueError(f"--iters must be at least 1, got {args.iters}")
     g = load_network_json(args.net)
     lips = netbounds.all_node_lips(
         g, spectral=args.spectral, iters=args.iters, seed=args.seed
@@ -100,8 +114,6 @@ def cmd_bound(args):
 
 
 def cmd_svd_deriv(args):
-    if args.step is not None and not args.check_fd:
-        raise ValueError("--step needs --check-fd")
     mat = load_matrix_csv(args.matrix)
     if args.order == 1:
         result = svdcalc.sv_jacobian(full_svd(mat), args.k)
@@ -112,8 +124,7 @@ def cmd_svd_deriv(args):
         oracle = svdcalc.fd_hessian_oracle
     dev = None
     if args.check_fd:
-        step = {} if args.step is None else {"step": args.step}
-        diff = result.array - oracle(mat, args.k, **step).array
+        diff = result.array - oracle(mat, args.k, **_passed(args, "step")).array
         dev = np.max(np.abs(diff, out=diff))
     # checked before anything is written, so a failed check leaves no --out
     # file; each row is formatted once for both stdout and --out
@@ -128,23 +139,20 @@ def cmd_svd_deriv(args):
 
 
 def cmd_activation(args):
-    _check_seed(args.seed)
-    dim = 2 if args.dim is None else args.dim
-    spec = activations.make_activation(args.name, alpha=args.alpha, dim=dim)
+    spec = activations.make_activation(args.name, args.alpha, 2 if args.dim is None else args.dim)
+    # each maximizer's flags are refused for the other kind of activation
+    for flag in ("--grid", "--domain") if args.name == "softmax" else ("--restarts", "--dim"):
+        if _flag(args, flag) is not None:
+            raise ValueError(f"{flag} does not apply to {args.name}")
     lines = [f"{args.name} {_fmt(activations.closed_form_lipschitz(spec))}"]
     # both lines are computed before either is printed, so a refused input
     # leaves stdout empty
-    if args.numeric:
-        if args.name == "softmax":
-            est = activations.numeric_softmax_lipschitz(
-                dim, restarts=args.restarts, seed=args.seed
-            )
-            lines.append(f"numeric {_fmt(est)}")
-        else:
-            res = activations.numeric_scalar_lipschitz(
-                spec, domain=(args.domain[0], args.domain[1]), grid=args.grid
-            )
-            lines.append(f"numeric {_fmt(res.value)} attained={res.attained}")
+    if args.numeric and args.name == "softmax":
+        est = activations.numeric_softmax_lipschitz(spec.dim, **_passed(args, "restarts", "seed"))
+        lines.append(f"numeric {_fmt(est)}")
+    elif args.numeric:
+        res = activations.numeric_scalar_lipschitz(spec, **_passed(args, "domain", "grid"))
+        lines.append(f"numeric {_fmt(res.value)} attained={res.attained}")
     print("\n".join(lines))
     return 0
 
@@ -157,15 +165,6 @@ def _parse_vector(text, label):
 
 
 def cmd_fourier(args):
-    # a flag without its companion is refused before anything is printed
-    for flag, value, companion, other in (
-        ("--band-center", args.band_center, "--band-radius", args.band_radius),
-        ("--band-radius", args.band_radius, "--band-center", args.band_center),
-        ("--t", args.t_grid, "--direction", args.direction),
-        ("--snr", args.snr, "--esd", args.esd),
-    ):
-        if value is not None and other is None:
-            raise ValueError(f"{flag} needs {companion}")
     sig = fourlip.load_signal_csv(args.signal)
     # every line is computed before any is printed, so a refused input
     # leaves stdout empty
@@ -183,7 +182,6 @@ def cmd_fourier(args):
         lines.append(f"sup_diff = {_fmt(sup)}")
         if bound > 0:
             lines.append(f"ratio = {_fmt(sup / bound)}")
-    values = None
     if args.esd is not None:
         if args.snr:
             noise = fourlip.load_signal_csv(args.snr)
@@ -195,12 +193,12 @@ def cmd_fourier(args):
         lines += (f"{label}[{ring}] = {_fmt(val)}" for ring, val in enumerate(values))
     if args.direction is not None:
         direction = _parse_vector(args.direction, "direction")
-        ts = _parse_vector(args.t_grid or "0", "t")
+        ts = _parse_vector(args.t or "0", "t")
         vals = fourlip.directional_transform(sig, direction, ts)
         lines += (f"t={_fmt(t)} re={_fmt(v.real)} im={_fmt(v.imag)}" for t, v in zip(ts, vals))
     if not lines:
         raise ValueError("nothing to do: pass --bound, --band-center, --esd or --direction")
-    with _open_out(args.out if values is not None else None) as fh:
+    with _open_out(args.out) as fh:
         print("\n".join(lines))
         if fh is not None:
             _write_csv(fh, enumerate(values.tolist()), header="ring_index,value")
@@ -208,7 +206,6 @@ def cmd_fourier(args):
 
 
 def cmd_dynamics(args):
-    _check_seed(args.seed)
     # the trajectory flags are checked even when no trajectory is asked for
     dynamics.check_simulation(args.dt, args.steps, args.seed, args.store_every)
     theta = load_matrix_csv(args.matrix)
@@ -243,9 +240,6 @@ def cmd_dynamics(args):
 
 
 def cmd_shapley(args):
-    if args.mc_perms is not None and args.mc_perms < 1:
-        raise ValueError(f"--mc-perms must be at least 1, got {args.mc_perms}")
-    _check_seed(args.seed)
     game = specgame.load_game_csv(args.game, n_players=args.players)
     # every line is computed before any is printed, so a refused input
     # leaves stdout empty
@@ -294,39 +288,42 @@ def build_parser():
     p.add_argument("--iters", type=int, default=100, help="power-iteration count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="per-node CSV output path")
-    p.set_defaults(fn=cmd_bound)
+    p.set_defaults(fn=cmd_bound, least=(("--seed", 0), ("--iters", 1)), needs=())
 
     p = sub.add_parser("svd-deriv", help="singular-value Jacobian / Hessian")
     p.add_argument("--matrix", required=True, help="matrix CSV file")
     p.add_argument("--k", type=int, required=True, help="singular-value index (1-based)")
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
-    p.add_argument("--check-fd", action="store_true", dest="check_fd")
+    p.add_argument("--check-fd", action="store_true")
     p.add_argument("--step", type=float, default=None, help="finite-difference step")
     p.add_argument("--out", help="write the derivative matrix CSV here")
-    p.set_defaults(fn=cmd_svd_deriv)
+    p.set_defaults(fn=cmd_svd_deriv, least=(("--k", 1),), needs=(("--step", "--check-fd"),))
 
     p = sub.add_parser("activation", help="activation Lipschitz constants")
     p.add_argument("--name", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=None, help="softmax dimension (default 2)")
     p.add_argument("--numeric", action="store_true", help="also run the numerical maximizer")
-    p.add_argument("--domain", type=float, nargs=2, default=(-20.0, 20.0))
-    p.add_argument("--grid", type=int, default=2048)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--domain", type=float, nargs=2, help="elementwise scan (default -20 20)")
+    p.add_argument("--grid", type=int, help="elementwise scan points (default 2048)")
+    p.add_argument("--restarts", type=int, help="softmax starts (default 10)")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_activation)
+    p.set_defaults(fn=cmd_activation, least=(("--seed", 0),), needs=(
+        ("--domain", "--numeric"), ("--grid", "--numeric"), ("--restarts", "--numeric")))
 
     p = sub.add_parser("fourier", help="spectral Lipschitz analysis of a signal CSV")
     p.add_argument("--signal", required=True)
     p.add_argument("--bound", action="store_true", help="spectral bound and grid gradient sup")
-    p.add_argument("--band-center", dest="band_center", help="comma-separated frequency")
-    p.add_argument("--band-radius", dest="band_radius", type=float)
+    p.add_argument("--band-center", help="comma-separated frequency")
+    p.add_argument("--band-radius", type=float)
     p.add_argument("--esd", type=int, help="number of radial rings")
     p.add_argument("--snr", help="noise signal CSV (with --esd)")
     p.add_argument("--direction", help="unit direction, comma-separated")
-    p.add_argument("--t", dest="t_grid", help="comma-separated t values for --direction")
-    p.add_argument("--out", help="ring CSV output path")
-    p.set_defaults(fn=cmd_fourier)
+    p.add_argument("--t", help="comma-separated t values for --direction")
+    p.add_argument("--out", help="ring CSV output path (with --esd)")
+    p.set_defaults(fn=cmd_fourier, least=(), needs=(
+        ("--band-center", "--band-radius"), ("--band-radius", "--band-center"),
+        ("--t", "--direction"), ("--snr", "--esd"), ("--out", "--esd")))
 
     p = sub.add_parser("dynamics", help="driving forces and trajectory simulation")
     p.add_argument("--matrix", required=True, help="layer matrix CSV")
@@ -336,19 +333,20 @@ def build_parser():
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--store-every", dest="store_every", type=int, default=1)
-    p.add_argument("--traj-out", dest="traj_out", help="trajectory CSV output path")
-    p.set_defaults(fn=cmd_dynamics)
+    p.add_argument("--store-every", type=int, default=1)
+    p.add_argument("--traj-out", help="trajectory CSV output path")
+    p.set_defaults(fn=cmd_dynamics, least=(("--seed", 0),), needs=())
 
     p = sub.add_parser("shapley", help="Shapley values of a coalition game table")
     p.add_argument("--game", required=True, help="game CSV of (bitmask, value) rows")
     p.add_argument("--players", type=int, default=None)
-    p.add_argument("--mc-perms", dest="mc_perms", type=int, default=None)
+    p.add_argument("--mc-perms", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--score", action="store_true")
-    p.add_argument("--beta", help="comma-separated nonnegative weights")
+    p.add_argument("--beta", help="comma-separated nonnegative weights (with --score)")
     p.add_argument("--out", help="per-player psi CSV output path")
-    p.set_defaults(fn=cmd_shapley)
+    p.set_defaults(fn=cmd_shapley, least=(("--mc-perms", 1), ("--seed", 0)),
+                   needs=(("--beta", "--score"),))
     return parser
 
 
@@ -358,6 +356,7 @@ def main(argv=None):
     # library warnings become one "warning: ..." line each, after the command
     with warnings.catch_warnings(record=True) as caught:
         try:
+            _check_flags(args)
             code = args.fn(args)
         except (LipkitError, ArithmeticError, MemoryError, ValueError, OSError) as exc:
             # a library error carries its code; of the builtins, an overflow,

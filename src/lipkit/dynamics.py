@@ -116,9 +116,6 @@ class DrivingForces:
     kappa: float
     lam: np.ndarray
 
-    def __iter__(self):
-        return iter((self.mu, self.kappa, self.lam))
-
 
 def driving_forces(state: LayerDynamicsState) -> DrivingForces:
     """Decomposition of d sigma_1 / sigma_1:
@@ -216,10 +213,9 @@ def simulate_ensemble(
     as (n_paths, m, n), stepped by ``_kernels.em_path`` with one counter-based
     generator: reproducible for a given seed, and one path ends where
     :func:`euler_maruyama` does."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"time step dt must be positive and finite, got {dt}")
-    if steps < 1 or n_paths < 1:
-        raise ValueError("need steps >= 1, n_paths >= 1")
+    check_simulation(dt, steps, seed)
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     m, n = state.theta.shape
     d = m * n
     rng = _stream(seed)

@@ -100,6 +100,19 @@ class SpectralSignal:
             )
         return SpectralSignal(raw.real, self.spacing)
 
+    def without(self, drop):
+        """The signal with the bins of a shifted-layout boolean mask zeroed,
+        each with its conjugate mirror (bin k -> -k mod N on every axis), so
+        that it stays real; a copy when nothing is dropped."""
+        drop = np.asarray(drop, dtype=bool)
+        if drop.shape != self.grid:
+            raise GridMismatch(f"mask shape {drop.shape} does not match the grid {self.grid}")
+        mirror = np.roll(np.flip(np.fft.ifftshift(drop)), 1, axis=tuple(range(self.dim)))
+        drop = drop | np.fft.fftshift(mirror)
+        if not drop.any():
+            return SpectralSignal(self.samples, self.spacing)
+        return self.with_spectrum(np.where(drop, 0.0, self.spectrum))
+
 
 def spectral_contribution(s: SpectralSignal) -> np.ndarray:
     """Per-bin contribution 2*pi*||zeta|| * |f_hat(zeta)| with the
@@ -148,9 +161,9 @@ def directional_transform(s: SpectralSignal, direction, t_grid) -> np.ndarray:
     return _kernels.direct_dft(flat, axis_proj, ts, s.cell_volume())
 
 
-def _ball_masks(s: SpectralSignal, center, radius):
-    """Bins within radius of center and of its mirror -center; refuses a
-    radius outside (0, inf) or a non-finite center."""
+def _ball_mask(s: SpectralSignal, center, radius):
+    """Bins within radius of center; refuses a radius outside (0, inf) or a
+    non-finite center."""
     if not 0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     center = np.asarray(center, dtype=np.float64).reshape(-1)
@@ -159,9 +172,7 @@ def _ball_masks(s: SpectralSignal, center, radius):
     if not np.all(np.isfinite(center)):
         raise ValueError(f"center must be finite, got {center.tolist()}")
     grids = np.meshgrid(*s.freq_axes, indexing="ij")
-    dist = functools.reduce(np.hypot, (f - c for f, c in zip(grids, center)), 0.0)
-    mirror = functools.reduce(np.hypot, (f + c for f, c in zip(grids, center)), 0.0)
-    return dist <= radius, mirror <= radius
+    return functools.reduce(np.hypot, (f - c for f, c in zip(grids, center)), 0.0) <= radius
 
 
 def band_remove(s: SpectralSignal, center, radius: float):
@@ -169,13 +180,7 @@ def band_remove(s: SpectralSignal, center, radius: float):
     the signal stays real); returns (perturbed signal, eps) where eps is
     the L2 norm of the removed sample-domain content (cell-volume
     normalized, matching the continuum norm)."""
-    primary, mirror = _ball_masks(s, center, radius)
-    mask = primary | mirror
-    if not mask.any():
-        return SpectralSignal(s.samples, s.spacing), 0.0
-    spec = np.array(s.spectrum)
-    spec[mask] = 0.0
-    perturbed = s.with_spectrum(spec)
+    perturbed = s.without(_ball_mask(s, center, radius))
     diff = s.samples - perturbed.samples
     eps = float(np.linalg.norm(diff.ravel()) * np.sqrt(s.cell_volume()))
     return perturbed, eps
@@ -185,7 +190,7 @@ def band_bound(s: SpectralSignal, center, radius: float, eps: float) -> float:
     """M_delta * eps * sqrt(mu(ball)) with M_delta the max per-bin
     contribution over the ball and mu the analytic ball measure
     (2*delta in 1-D, pi*delta^2 in 2-D)."""
-    primary, _ = _ball_masks(s, center, radius)
+    primary = _ball_mask(s, center, radius)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if radius >= BAND_VALIDITY_DELTA:

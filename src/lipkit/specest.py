@@ -29,9 +29,6 @@ class PowerIterationResult:
     ratio_est: float
     history: np.ndarray  # estimate after each iteration
 
-    def __iter__(self):
-        return iter((self.sigma_est, self.u, self.v, self.ratio_est))
-
 
 def power_iteration(a: DenseMatrix, iters: int, seed: int = 0) -> PowerIterationResult:
     """Estimate sigma_1 by alternating normalized updates.
@@ -127,9 +124,6 @@ def local_lipschitz_sample(
 class BjorckResult:
     matrix: DenseMatrix
     defects: tuple  # ||W_k^T W_k - I||_F per iterate, element 0 = start
-
-    def __iter__(self):
-        return iter((self.matrix, self.defects))
 
 
 def _series_coefficients(p_order):

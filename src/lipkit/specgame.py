@@ -53,31 +53,16 @@ def band_partition(s: SpectralSignal, n_bands: int) -> np.ndarray:
     return _ring_bins(np.maximum(i0, i1), n_bands)
 
 
-def _mirror_unshifted(mask):
-    """Conjugate-mirror of an unshifted-layout boolean mask: bin k -> -k mod N."""
-    out = np.flip(mask)
-    return np.roll(out, shift=(1,) * mask.ndim, axis=tuple(range(mask.ndim)))
-
-
 def coalition_filter(s: SpectralSignal, bands: np.ndarray, keep: int) -> SpectralSignal:
     """Zero all bins outside the kept bands (coalition bitmask).
 
-    Bins whose conjugate mirror falls in a dropped band are zeroed as well,
-    which keeps the inverse transform real; only mirror pairs straddling a
-    ring boundary are affected.
+    Bins whose conjugate mirror falls in a dropped band are zeroed as well
+    (``SpectralSignal.without``), which keeps the inverse transform real;
+    only mirror pairs straddling a ring boundary are affected.
     """
-    if bands.shape != s.grid:
-        raise GridMismatch("band index array does not match the signal grid")
     if keep < 0:
         raise ValueError("coalition bitmask must be nonnegative")
-    keep_mask = ((keep >> bands) & 1).astype(bool)
-    if keep_mask.all():
-        return SpectralSignal(s.samples, s.spacing)
-    keep_unshifted = np.fft.ifftshift(keep_mask)
-    keep_sym = keep_unshifted & _mirror_unshifted(keep_unshifted)
-    spec = np.array(s.spectrum)
-    spec[~np.fft.fftshift(keep_sym)] = 0.0
-    return s.with_spectrum(spec)
+    return s.without(((keep >> bands) & 1) == 0)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,12 @@ class TestSvdDeriv:
         assert out == ""
         assert err == f"error: step must be positive and finite, got {float(step)}\n"
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_2_before_the_matrix_is_read(self, capsys, tmp_path, k):
+        code, out, err = run(capsys, "svd-deriv", "--matrix", str(tmp_path / "missing.csv"),
+                             "--k", k, "--order", "1")
+        assert (code, out, err) == (2, "", f"error: --k must be at least 1, got {k}\n")
+
     def test_step_without_check_fd_exits_2(self, capsys, tmp_path):
         mat_path = tmp_path / "m.csv"
         save_matrix_csv(mat_path, DenseMatrix(np.diag([2.0, 1.0])))
@@ -253,6 +259,33 @@ class TestActivation:
     def test_unknown_activation(self, capsys):
         code, _, err = run(capsys, "activation", "--name", "selu")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, text",
+        [
+            (["--name", "gelu", "--numeric", "--restarts", "0", "--dim", "1"],
+             "--restarts does not apply to gelu"),
+            (["--name", "tanh", "--dim", "3"], "--dim does not apply to tanh"),
+            (["--name", "softmax", "--dim", "3", "--numeric", "--grid", "8", "--domain", "5", "1"],
+             "--grid does not apply to softmax"),
+            (["--name", "softmax", "--numeric", "--domain", "-5", "5"],
+             "--domain does not apply to softmax"),
+            (["--name", "relu", "--grid", "10"], "--grid needs --numeric"),
+        ],
+        ids=["restarts-gelu", "dim-tanh", "grid-softmax", "domain-softmax", "grid-without-numeric"],
+    )
+    def test_flag_of_the_other_maximizer_exits_2(self, capsys, flags, text):
+        assert run(capsys, "activation", *flags) == (2, "", f"error: {text}\n")
+
+    @pytest.mark.parametrize(
+        "name, defaults",
+        [("softmax", ["--restarts", "10", "--seed", "0"]),
+         ("tanh", ["--grid", "2048", "--domain", "-20", "20"])],
+    )
+    def test_maximizer_flags_not_given_take_the_library_defaults(self, capsys, name, defaults):
+        expect = run(capsys, "activation", "--name", name, "--numeric", *defaults)
+        assert expect[0] == 0
+        assert run(capsys, "activation", "--name", name, "--numeric") == expect
 
 
 class TestFourier:
@@ -869,3 +902,41 @@ def test_unwritable_output_file_exits_2_printing_nothing(capsys, tmp_path, comma
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+# the required flags of each subcommand and a value for each flag that a
+# needs row names; no file exists, so a refusal shows that none was read
+_REQUIRED = {
+    "bound": ["--net", "net.json"],
+    "svd-deriv": ["--matrix", "m.csv", "--k", "1", "--order", "1"],
+    "activation": ["--name", "gelu"],
+    "fourier": ["--signal", "s.csv"],
+    "dynamics": ["--matrix", "m.csv", "--grad", "g.csv", "--cov", "c.csv", "--eta", "0.1"],
+    "shapley": ["--game", "g.csv"],
+}
+_FLAG_VALUES = {
+    "--step": ["1e-4"], "--domain": ["-5", "5"], "--grid": ["100"], "--restarts": ["3"],
+    "--band-center": ["1,0"], "--band-radius": ["0.1"], "--t": ["0,1"], "--snr": ["n.csv"],
+    "--out": ["out.csv"], "--beta": ["1,1"],
+}
+_SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a.choices, dict)).choices
+_NEEDS = [
+    (command, flag, companion)
+    for command, p in _SUBPARSERS.items() for flag, companion in p.get_default("needs") or ()
+]
+
+
+def test_every_subcommand_declares_its_flag_rules():
+    assert set(_SUBPARSERS) == set(_REQUIRED)
+    for p in _SUBPARSERS.values():
+        assert p.get_default("least") is not None and p.get_default("needs") is not None
+
+
+@pytest.mark.parametrize("command, flag, companion", _NEEDS,
+                         ids=[f"{command}:{flag}" for command, flag, _ in _NEEDS])
+def test_flag_without_its_companion_exits_2_before_reading(capsys, tmp_path, monkeypatch,
+                                                            command, flag, companion):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, *_REQUIRED[command], flag, *_FLAG_VALUES[flag])
+    assert (code, out, err) == (2, "", f"error: {flag} needs {companion}\n")
+    assert not any(tmp_path.iterdir())

@@ -240,6 +240,22 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError):
             euler_maruyama(state, dt=0.1, steps=0)
 
+    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"dt": 0.0}, {"seed": -1}],
+                             ids=["steps", "dt", "seed"])
+    def test_ensemble_refuses_as_euler_maruyama_does(self, rng, kwargs):
+        # one check of dt, steps and seed serves both simulators
+        state = make_state(rng)
+        kwargs = {"dt": 0.1, "steps": 5, **kwargs}
+        with pytest.raises(ValueError) as single:
+            euler_maruyama(state, **kwargs)
+        with pytest.raises(ValueError) as ensemble:
+            simulate_ensemble(state, n_paths=2, **kwargs)
+        assert str(ensemble.value) == str(single.value)
+
+    def test_ensemble_needs_a_path(self, rng):
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            simulate_ensemble(make_state(rng), dt=0.1, steps=5, n_paths=0)
+
     @pytest.mark.parametrize("simulate", ["euler_maruyama", "simulate_ensemble"])
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0])
     def test_dt_must_be_positive_and_finite(self, rng, simulate, dt):

@@ -212,6 +212,58 @@ class TestBandRemove:
             band_remove(sine_1d(), center, 0.1)
 
 
+class TestWithout:
+    @pytest.mark.parametrize("shape", [(7,), (8,), (7, 9), (8, 6), (8, 8), (5, 8)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_result_is_conjugate_symmetric(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        s = SpectralSignal(rng.standard_normal(shape), 0.5)
+        # bin k mirrors to -k mod N on every axis, written out index by index
+        mirror = np.ix_(*[(-np.arange(n)) % n for n in shape])
+        full = np.fft.ifftshift(s.spectrum)
+        scale = np.max(np.abs(full))
+        for _ in range(20):
+            drop = rng.random(shape) < 0.3
+            out = np.fft.ifftshift(s.without(drop).spectrum)
+            assert np.max(np.abs(out - np.conj(out[mirror]))) <= 1e-12 * scale
+            dropped = np.fft.ifftshift(drop)
+            dropped |= dropped[mirror]
+            assert np.max(np.abs(out[dropped]), initial=0.0) <= 1e-12 * scale
+            np.testing.assert_allclose(out[~dropped], full[~dropped], rtol=0, atol=1e-12 * scale)
+
+    def test_nothing_dropped_is_a_copy(self, rng):
+        s = SpectralSignal(rng.standard_normal((6, 5)), 1.0)
+        np.testing.assert_array_equal(s.without(np.zeros((6, 5), bool)).samples, s.samples)
+
+    def test_mask_shape_must_match_the_grid(self, rng):
+        s = SpectralSignal(rng.standard_normal((6, 5)), 1.0)
+        with pytest.raises(GridMismatch, match=r"mask shape \(1, 5\)"):
+            s.without(np.ones((1, 5), bool))
+
+
+class TestNyquistBand:
+    """A ball reaching past the Nyquist row loses only its own bins and their
+    index mirrors (k -> -k mod N), never a Nyquist bin that only the ball
+    around -center reaches."""
+
+    def test_2d_ball_near_nyquist_stays_real(self, tmp_path):
+        s = SpectralSignal(np.random.default_rng(0).standard_normal((8, 8)), 1.0)
+        pert, eps = band_remove(s, [0.45, 0.125], 0.1)
+        assert np.isrealobj(pert.samples) and eps > 0
+        path = tmp_path / "r8.csv"
+        save_signal_csv(path, s)
+        code = cli.main(["fourier", "--signal", str(path), "--band-center", "0.45,0.125",
+                         "--band-radius", "0.1"])
+        assert code == 0
+
+    def test_1d_nyquist_bin_is_kept(self):
+        s = SpectralSignal(np.random.default_rng(0).standard_normal(8), 1.0)
+        pert, eps = band_remove(s, [0.45], 0.1)
+        assert eps == 0.2505958924689197  # 0.26608307447139445 with the -center ball
+        # shifted index 0 is the Nyquist bin -0.5
+        assert abs(pert.spectrum[0] - s.spectrum[0]) <= 1e-12
+
+
 class TestBandBound:
     def test_zero_eps(self):
         s = gaussian_2d(n=32)
