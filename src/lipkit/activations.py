@@ -7,7 +7,6 @@ independent check of each value.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -66,15 +65,9 @@ def _norm_cdf(x):
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-@functools.lru_cache(maxsize=1)
-def _swish_constant():
-    # maximizer of d/dx [x*sigmoid(x)] solves x * tanh(x/2) = 2; Newton from 2.5
-    # reaches its fixed point in 3 steps
-    x = 2.5
-    for _ in range(6):
-        t = math.tanh(0.5 * x)
-        x -= (x * t - 2.0) / (t + 0.5 * x * (1.0 - t * t))
-    return 0.5 + 0.25 * x
+# sup of d/dx [x*sigmoid(x)] = 1/2 + x/4 where x * tanh(x/2) = 2: the smallest
+# double not below the exact 1.09983932012886691696...
+_SWISH_CONSTANT = 1.099839320128867
 
 
 def _elementwise(alpha):
@@ -95,7 +88,7 @@ def _elementwise(alpha):
         ),
         "swish": (
             lambda x: x * expit(x), lambda x: expit(x) + x * expit(x) * (1.0 - expit(x)),
-            _swish_constant(),
+            _SWISH_CONSTANT,
         ),
         # gelu's constant is Phi + x*phi at its critical point x = sqrt(2)
         "gelu": (

@@ -139,15 +139,21 @@ def cmd_svd_deriv(args):
 
 
 def cmd_activation(args):
-    spec = activations.make_activation(args.name, args.alpha, 2 if args.dim is None else args.dim)
-    # each maximizer's flags are refused for the other kind of activation
-    for flag in ("--grid", "--domain") if args.name == "softmax" else ("--restarts", "--dim"):
+    spec = activations.make_activation(
+        args.name, dim=2 if args.dim is None else args.dim, **_passed(args, "alpha"))
+    # a flag is refused for an activation that does not read it: each
+    # maximizer's flags for the other kind, and --alpha for all but two
+    softmax = args.name == "softmax"
+    refused = ("--grid", "--domain") if softmax else ("--restarts", "--dim", "--seed")
+    if args.name not in ("leaky_relu", "elu"):
+        refused += ("--alpha",)
+    for flag in refused:
         if _flag(args, flag) is not None:
             raise ValueError(f"{flag} does not apply to {args.name}")
     lines = [f"{args.name} {_fmt(activations.closed_form_lipschitz(spec))}"]
     # both lines are computed before either is printed, so a refused input
     # leaves stdout empty
-    if args.numeric and args.name == "softmax":
+    if args.numeric and softmax:
         est = activations.numeric_softmax_lipschitz(spec.dim, **_passed(args, "restarts", "seed"))
         lines.append(f"numeric {_fmt(est)}")
     elif args.numeric:
@@ -301,15 +307,16 @@ def build_parser():
 
     p = sub.add_parser("activation", help="activation Lipschitz constants")
     p.add_argument("--name", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, help="leaky_relu and elu slope (default 1)")
     p.add_argument("--dim", type=int, default=None, help="softmax dimension (default 2)")
     p.add_argument("--numeric", action="store_true", help="also run the numerical maximizer")
     p.add_argument("--domain", type=float, nargs=2, help="elementwise scan (default -20 20)")
     p.add_argument("--grid", type=int, help="elementwise scan points (default 2048)")
     p.add_argument("--restarts", type=int, help="softmax starts (default 10)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="softmax start seed (default 0)")
     p.set_defaults(fn=cmd_activation, least=(("--seed", 0),), needs=(
-        ("--domain", "--numeric"), ("--grid", "--numeric"), ("--restarts", "--numeric")))
+        ("--domain", "--numeric"), ("--grid", "--numeric"), ("--restarts", "--numeric"),
+        ("--seed", "--numeric")))
 
     p = sub.add_parser("fourier", help="spectral Lipschitz analysis of a signal CSV")
     p.add_argument("--signal", required=True)
@@ -321,7 +328,7 @@ def build_parser():
     p.add_argument("--direction", help="unit direction, comma-separated")
     p.add_argument("--t", help="comma-separated t values for --direction")
     p.add_argument("--out", help="ring CSV output path (with --esd)")
-    p.set_defaults(fn=cmd_fourier, least=(), needs=(
+    p.set_defaults(fn=cmd_fourier, least=(("--esd", 1),), needs=(
         ("--band-center", "--band-radius"), ("--band-radius", "--band-center"),
         ("--t", "--direction"), ("--snr", "--esd"), ("--out", "--esd")))
 

@@ -99,9 +99,8 @@ class SvdTriple:
 
     ``left`` is m x m, ``right`` is n x n, ``singulars`` has length
     min(m, n) sorted nonincreasing. ``rank`` counts singular values above
-    rank_tol * sigma_1 (``rank_tol`` of :func:`full_svd`); ``min_gap`` is
-    the smallest |s_i - s_j| over pairs of retained singular values (inf
-    when fewer than two are).
+    DEFAULT_RANK_TOL * sigma_1; ``min_gap`` is the smallest |s_i - s_j|
+    over pairs of retained singular values (inf when fewer than two are).
     """
 
     left: DenseMatrix
@@ -164,26 +163,24 @@ def _fix_signs(u_full, vt_full):
     return u_full, vt_full
 
 
-def _numerical_rank(s: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rank_tol * sigma_1."""
+def _numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values above DEFAULT_RANK_TOL * sigma_1."""
     if s.size and s[0] > 0:
-        return int(np.sum(s > rank_tol * s[0]))
+        return int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     return 0
 
 
-def full_svd(m: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdTriple:
+def full_svd(m: DenseMatrix) -> SvdTriple:
     """Full SVD of a DenseMatrix.
 
     Raises NonConvergence when the underlying LAPACK iteration fails.
     """
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
     try:
         u, s, vt = np.linalg.svd(m.array, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"SVD failed to converge on {m.rows}x{m.cols} input") from exc
     u, vt = _fix_signs(np.ascontiguousarray(u), np.ascontiguousarray(vt))
-    rank = _numerical_rank(s, rank_tol)
+    rank = _numerical_rank(s)
     # s is sorted, so the closest pair of retained values is adjacent
     min_gap = float(np.min(np.abs(np.diff(s[:rank])))) if rank >= 2 else float("inf")
     return SvdTriple(

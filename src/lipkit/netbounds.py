@@ -298,7 +298,6 @@ def product_bound(chain, g: NetworkGraph, lips=None) -> float:
 class DagBound:
     bound: float
     per_node_s: dict
-    node_lips: dict
 
 
 def dag_bound(g: NetworkGraph, lips=None) -> DagBound:
@@ -313,7 +312,7 @@ def dag_bound(g: NetworkGraph, lips=None) -> DagBound:
     for nid in g.topo_order:
         acc = 1.0 if nid == g.source else sum(s[u] for u in g.digraph.predecessors(nid))
         s[nid] = lips[nid].lip * acc
-    return DagBound(bound=_not_nan(s[g.sink]), per_node_s=s, node_lips=lips)
+    return DagBound(bound=_not_nan(s[g.sink]), per_node_s=s)
 
 
 @dataclass(frozen=True)
@@ -321,7 +320,6 @@ class ArticulationBound:
     bound: float
     cut_vertices: list
     subdag_bounds: list
-    node_lips: dict
 
 
 def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
@@ -361,7 +359,7 @@ def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
         bound *= val
     for c in cuts:
         bound *= lips[c].lip
-    return ArticulationBound(_not_nan(bound), cuts, subdag_bounds, lips)
+    return ArticulationBound(_not_nan(bound), cuts, subdag_bounds)
 
 
 def residual_bound(inner_lip: float) -> float:

@@ -52,9 +52,9 @@ def check_hessian_budget(rows: int, cols: int):
     before anything of that size is allocated.
 
     The limit covers H alone. Building H holds about twice its size (the
-    half-sum T next to H), and a finite-difference check adds the oracle's
-    result and the difference, so the real peak is 2-3x the limit.
-    :func:`sv_hessian` itself does not call this.
+    columns C next to their half-sum H), and a finite-difference check adds
+    the oracle's result and the difference, so the real peak is 2-3x the
+    limit. :func:`sv_hessian` itself does not call this.
     """
     nbytes = 8 * (rows * cols) ** 2
     if nbytes > MAX_HESSIAN_BYTES:
@@ -102,81 +102,80 @@ def _hessian_weights(svd: SvdTriple, k: int):
     return a[:m], a[:n], c
 
 
-def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
-    """Hessian of sigma_k in the column-major vec layout (mn x mn).
-
-    Dense BLAS-3 assembly of the three-part form of :func:`_hessian_weights`:
-    with X = v_k (x) U and Y = V (x) u_k (columns x_i and y_j),
-
-        T = X diag(a/2) X^T + Y diag(b/2) Y^T + X_r diag(c) Y_r^T,
-        H = T + T^T,
-
-    which is exactly symmetric. H costs 8 (mn)^2 bytes and the assembly
-    peaks near twice that; callers that need <H, Sigma> or H vec(E) should
-    use :func:`sv_hessian_contract` or :func:`sv_hessian_apply`, which never
-    build H.
+def _hessian_step(svd: SvdTriple, k: int):
+    """Check sigma_k's spectrum; return the map (E v_k, E^T u_k) -> (f, g)
+    with H vec(E) = vec(f v_k^T + u_k g^T), for a stack of m x n matrices E
+    on the leading axes. With alpha = U^T E v_k and beta = V^T E^T u_k (the
+    x_i and y_j components of vec(E) in :func:`_hessian_weights`),
+    f = U (a*alpha + c*beta) and g = V (b*beta + c*alpha).
     """
     a, b, c = _hessian_weights(svd, k)
     r = c.size
     u, v = svd.left.array, svd.right.array
-    x = np.kron(svd.v(k)[:, None], u)
-    y = np.kron(v, svd.u(k)[:, None])
-    t = (x * (0.5 * a)) @ x.T
-    t += (y * (0.5 * b)) @ y.T
-    t += (x[:, :r] * c) @ y[:, :r].T
-    h = np.empty_like(t, order="F")  # DenseMatrix keeps it without a copy
-    return DenseMatrix(np.add(t, t.T, out=h))
+
+    def step(ev, etu):
+        alpha, beta = ev @ u, etu @ v
+        p = a * alpha
+        p[..., :r] += c * beta[..., :r]
+        q = b * beta
+        q[..., :r] += c * alpha[..., :r]
+        return p @ u.T, q @ v.T
+    return step
+
+
+def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
+    """Hessian of sigma_k in the column-major vec layout (mn x mn).
+
+    The Hessian step of each basis matrix E_c = e_i e_j^T (c = i + j*m) gives
+    the column C_c = H vec(E_c); H = (C + C^T)/2 is exactly symmetric. H costs
+    8 (mn)^2 bytes and the assembly peaks near twice that; for <H, Sigma> or
+    H vec(E) use :func:`sv_hessian_contract` or :func:`sv_hessian_apply`.
+    """
+    step = _hessian_step(svd, k)
+    m, n, d = svd.rows, svd.cols, svd.rows * svd.cols
+    uk, vk = svd.u(k), svd.v(k)
+    # E_c v_k = v_k[j] e_i and E_c^T u_k = u_k[i] e_j
+    f, g = step(np.kron(vk[:, None], np.eye(m)), np.kron(np.eye(n), uk[:, None]))
+    h = f[:, None, :] * vk[:, None]  # h[c, j, i] = f_c[i] v_k[j] + u_k[i] g_c[j] = C[i + j*m, c]
+    for i in range(m):  # a slice at a time: no temporary of H's size
+        h[:, :, i] += g * uk[i]
+    # rebinding h frees C before DenseMatrix checks H, which it keeps (F order) without a copy
+    h = np.add(h.reshape(d, d), h.reshape(d, d).T, out=np.empty((d, d), order="F"))
+    h *= 0.5
+    return DenseMatrix(h)
 
 
 def sv_hessian_contract(svd: SvdTriple, k: int, sigma: np.ndarray) -> float:
     """<H, Sigma> for the Hessian H of sigma_k and an mn x mn matrix Sigma,
     without forming H.
 
-    The symmetrised Sigma, viewed as S[j, i, j', i'] (vec index i + j*m),
-    is contracted with v_k into an m x m matrix, with u_k into an n x n
-    matrix and with both into an m x n cross matrix; the weighted diagonals
-    of U^T M U, V^T M V and U^T M V then give the three parts. O((mn)^2).
+    Row c of Sigma, read as an m x n matrix S_c, adds (H vec(S_c))[c] =
+    f_c[i] v_k[j] + u_k[i] g_c[j] (c = i + j*m) from its Hessian step. Besides
+    Sigma (not copied when contiguous) this needs O(mn(m + n)) memory.
     """
-    a, b, c = _hessian_weights(svd, k)
-    m, n, r = svd.rows, svd.cols, c.size
+    step = _hessian_step(svd, k)
+    m, n = svd.rows, svd.cols
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (m * n, m * n):
         raise ValueError(f"Sigma must be {m * n}x{m * n}, got {sigma.shape}")
-    s4 = (0.5 * (sigma + sigma.T)).reshape(n, m, n, m)
-    u, v = svd.left.array, svd.right.array
+    if sigma.flags.f_contiguous:
+        sigma = sigma.T  # <H, Sigma> = <H, Sigma^T> as H is symmetric
+    s3 = sigma.reshape(m * n, n, m)  # s3[c, j, i] = S_c[i, j]
     uk, vk = svd.u(k), svd.v(k)
-    s_v = np.tensordot(vk, s4, axes=(0, 0))  # [i, j', i']
-    left = np.tensordot(s_v, vk, axes=(1, 0))  # m x m
-    cross = np.tensordot(s_v, uk, axes=(2, 0))  # m x n
-    right = np.tensordot(np.tensordot(uk, s4, axes=(0, 1)), uk, axes=(2, 0))  # n x n
-    total = a @ np.sum(u * (left @ u), axis=0)
-    total += b @ np.sum(v * (right @ v), axis=0)
-    total += 2.0 * (c @ np.sum(u[:, :r] * (cross @ v[:, :r]), axis=0))
-    return float(total)
+    f, g = step(vk @ s3, s3 @ uk)
+    return float(np.einsum("jii,j->", f.reshape(n, m, m), vk)
+                 + np.einsum("jij,i->", g.reshape(n, m, n), uk))
 
 
 def sv_hessian_apply(svd: SvdTriple, k: int, e: DenseMatrix) -> DenseMatrix:
     """The Hessian-vector product H vec(E), returned as an m x n matrix,
-    without forming H. O(mn + m^2 + n^2).
-
-    With alpha = U^T E v_k (the x_i components of vec(E)) and
-    beta = V^T E^T u_k (the y_j components), the product is
-    U p v_k^T + u_k (V q)^T for p = a*alpha + c*beta and q = b*beta + c*alpha.
-    """
-    a, b, c = _hessian_weights(svd, k)
-    r = c.size
+    without forming H: one Hessian step, O(mn + m^2 + n^2)."""
+    step = _hessian_step(svd, k)
     if e.shape != (svd.rows, svd.cols):
         raise ValueError(f"E must be {svd.rows}x{svd.cols}, got {e.shape}")
-    e = e.array
-    u, v = svd.left.array, svd.right.array
     uk, vk = svd.u(k), svd.v(k)
-    alpha = u.T @ (e @ vk)
-    beta = v.T @ (e.T @ uk)
-    p = a * alpha
-    p[:r] += c * beta[:r]
-    q = b * beta
-    q[:r] += c * alpha[:r]
-    return DenseMatrix(np.outer(u @ p, vk) + np.outer(uk, v @ q))
+    f, g = step(e.array @ vk, e.array.T @ uk)
+    return DenseMatrix(np.outer(f, vk) + np.outer(uk, g))
 
 
 @dataclass(frozen=True)

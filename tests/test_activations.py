@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from lipkit import activations
 from lipkit.activations import (
     NAMES,
     _LOGIT_BOX,
-    _swish_constant,
     _top_eigenvalues,
     closed_form_lipschitz,
     make_activation,
@@ -40,10 +41,20 @@ class TestClosedForms:
             SWISH_K, abs=1e-9
         )
 
-    def test_swish_constant_bits(self):
-        # 1 ulp below the double nearest the exact 1.09983932012886691...
-        _swish_constant.cache_clear()
-        assert _swish_constant() == 1.0998393201288668
+    @pytest.mark.parametrize("name", ["swish", "gelu"])
+    def test_constant_is_the_least_double_not_below_the_exact_value(self, name):
+        import mpmath
+
+        with mpmath.workdps(50):
+            if name == "swish":
+                # 1/2 + x/4 at the root of x * tanh(x/2) = 2
+                exact = 0.5 + mpmath.findroot(lambda x: x * mpmath.tanh(x / 2) - 2, 2.5) / 4
+            else:
+                # Phi + x*phi at x = sqrt(2)
+                exact = (1 + mpmath.erf(1)) / 2 + mpmath.exp(-1) / mpmath.sqrt(mpmath.pi)
+            const = closed_form_lipschitz(make_activation(name))
+            assert mpmath.mpf(const) >= exact
+            assert mpmath.mpf(math.nextafter(const, 0.0)) < exact
 
     def test_gelu_appendix_digits(self):
         assert closed_form_lipschitz(make_activation("gelu")) == pytest.approx(
@@ -255,7 +266,6 @@ def test_no_scipy_optimize_needed(monkeypatch):
 
     for name in ("minimize", "minimize_scalar", "brentq"):
         monkeypatch.setattr(scipy.optimize, name, refuse)
-    _swish_constant.cache_clear()
     for name in NAMES:
         spec = make_activation(name, dim=3)
         closed = closed_form_lipschitz(spec)

@@ -271,8 +271,12 @@ class TestActivation:
             (["--name", "softmax", "--numeric", "--domain", "-5", "5"],
              "--domain does not apply to softmax"),
             (["--name", "relu", "--grid", "10"], "--grid needs --numeric"),
+            (["--name", "relu", "--alpha", "5"], "--alpha does not apply to relu"),
+            (["--name", "softmax", "--alpha", "3"], "--alpha does not apply to softmax"),
+            (["--name", "gelu", "--numeric", "--seed", "7"], "--seed does not apply to gelu"),
         ],
-        ids=["restarts-gelu", "dim-tanh", "grid-softmax", "domain-softmax", "grid-without-numeric"],
+        ids=["restarts-gelu", "dim-tanh", "grid-softmax", "domain-softmax", "grid-without-numeric",
+             "alpha-relu", "alpha-softmax", "seed-gelu"],
     )
     def test_flag_of_the_other_maximizer_exits_2(self, capsys, flags, text):
         assert run(capsys, "activation", *flags) == (2, "", f"error: {text}\n")
@@ -280,7 +284,8 @@ class TestActivation:
     @pytest.mark.parametrize(
         "name, defaults",
         [("softmax", ["--restarts", "10", "--seed", "0"]),
-         ("tanh", ["--grid", "2048", "--domain", "-20", "20"])],
+         ("tanh", ["--grid", "2048", "--domain", "-20", "20"]),
+         ("elu", ["--alpha", "1"])],
     )
     def test_maximizer_flags_not_given_take_the_library_defaults(self, capsys, name, defaults):
         expect = run(capsys, "activation", "--name", name, "--numeric", *defaults)
@@ -688,16 +693,22 @@ def test_mistyped_network_field_exits_2_naming_it(capsys, tmp_path, doc, names):
 
 
 @pytest.mark.parametrize(
-    "flags, text",
+    "argv, text",
     [
-        (["--players", "-1"], "player count must be at least 1, got -1"),
-        (["--players", "0"], "player count must be at least 1, got 0"),
-        (["--mc-perms", "0"], "--mc-perms must be at least 1, got 0"),
+        (lambda d: _game(d, "0,0\n1,1\n") + ["--players", "-1"],
+         "player count must be at least 1, got -1"),
+        (lambda d: _game(d, "0,0\n1,1\n") + ["--players", "0"],
+         "player count must be at least 1, got 0"),
+        (lambda d: _game(d, "0,0\n1,1\n") + ["--mc-perms", "0"],
+         "--mc-perms must be at least 1, got 0"),
+        # the signal file does not exist: the ring count is refused before it is read
+        (lambda d: ["fourier", "--signal", str(d / "missing.csv"), "--esd", "0"],
+         "--esd must be at least 1, got 0"),
     ],
-    ids=["players-negative", "players-zero", "mc-perms-zero"],
+    ids=["players-negative", "players-zero", "mc-perms-zero", "esd-zero"],
 )
-def test_count_below_one_exits_2(capsys, tmp_path, flags, text):
-    code, out, err = run(capsys, *_game(tmp_path, "0,0\n1,1\n"), *flags)
+def test_count_below_one_exits_2(capsys, tmp_path, argv, text):
+    code, out, err = run(capsys, *argv(tmp_path))
     assert code == 2
     assert out == ""
     assert err == f"error: {text}\n"
@@ -917,7 +928,7 @@ _REQUIRED = {
 _FLAG_VALUES = {
     "--step": ["1e-4"], "--domain": ["-5", "5"], "--grid": ["100"], "--restarts": ["3"],
     "--band-center": ["1,0"], "--band-radius": ["0.1"], "--t": ["0,1"], "--snr": ["n.csv"],
-    "--out": ["out.csv"], "--beta": ["1,1"],
+    "--out": ["out.csv"], "--beta": ["1,1"], "--seed": ["3"],
 }
 _SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a.choices, dict)).choices
 _NEEDS = [

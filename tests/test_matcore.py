@@ -137,10 +137,6 @@ class TestFullSvd:
         svd = full_svd(DenseMatrix(u @ np.diag(s) @ vt))
         assert svd.rank == 3
 
-    def test_rank_tol_validation(self):
-        with pytest.raises(ValueError):
-            full_svd(DenseMatrix(np.eye(2)), rank_tol=-1.0)
-
 
 class TestMatrixCsv:
     def test_round_trip_bit_exact(self, tmp_path, rng):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,7 @@ class TestMatrixFreeHessian:
         h = sv_hessian(contraction_case, k).array
         ref = hessian_outer_sum(contraction_case, k)
         assert np.array_equal(h, h.T)
+        assert h.flags.f_contiguous
         assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -199,21 +201,28 @@ class TestMatrixFreeHessian:
         svd = contraction_case
         d = svd.rows * svd.cols
         b = rng.standard_normal((d, d))
-        for sigma in (b @ b.T / d, b):  # PSD, and not even symmetric
+        ref = hessian_outer_sum(svd, k)
+        # PSD, not even symmetric, and Fortran-ordered as DenseMatrix keeps it
+        for sigma in (b @ b.T / d, b, np.asfortranarray(b)):
             expect = float(np.sum(sv_hessian(svd, k).array * sigma))
             got = sv_hessian_contract(svd, k, sigma)
             assert got == pytest.approx(expect, rel=1e-12)
+            # the dense form shares the contraction's step; the outer sum does not
+            assert got == pytest.approx(float(np.sum(ref * sigma)), rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_apply_equals_dense_product(self, contraction_case, rng, k):
         svd = contraction_case
         h = sv_hessian(svd, k).array
+        ref = hessian_outer_sum(svd, k)
         for _ in range(3):
             e = rng.standard_normal((svd.rows, svd.cols))
             got = sv_hessian_apply(svd, k, DenseMatrix(e))
             assert got.shape == e.shape
-            expect = h @ e.ravel(order="F")
-            np.testing.assert_allclose(vec(got), expect, rtol=0, atol=1e-13 * np.abs(expect).max())
+            for dense in (h, ref):
+                expect = dense @ e.ravel(order="F")
+                np.testing.assert_allclose(vec(got), expect, rtol=0,
+                                           atol=1e-13 * np.abs(expect).max())
 
     def test_zero_sigma_contracts_to_zero(self, contraction_case):
         d = contraction_case.rows * contraction_case.cols
@@ -236,6 +245,32 @@ class TestMatrixFreeHessian:
                 fn()
         with pytest.raises(ZeroSingular):
             sv_hessian_apply(full_svd(DenseMatrix(np.diag([2.0, 0.0]))), 2, DenseMatrix(np.eye(2)))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHessianMemory:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_contract_allocates_less_than_sigma(self, rng, order):
+        # a 40x40 layer: Sigma is 1600x1600, 19.5 MiB
+        svd = full_svd(DenseMatrix(rng.standard_normal((40, 40))))
+        sigma = np.asarray(rng.standard_normal((1600, 1600)), order=order)
+        peak = traced_peak(sv_hessian_contract, svd, 1, sigma)
+        assert peak < sigma.nbytes, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+    def test_dense_peak_is_about_twice_h(self, rng):
+        svd = full_svd(DenseMatrix(rng.standard_normal((24, 24))))
+        h_bytes = 8 * (24 * 24) ** 2
+        peak = traced_peak(sv_hessian, svd, 1)
+        assert peak <= 2.3 * h_bytes, f"tracemalloc peak {peak / h_bytes:.2f} times H"
 
 
 class TestHessianBudget:
