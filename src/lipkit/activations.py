@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import erf, expit, softmax
@@ -17,11 +16,6 @@ from scipy.special import erf, expit, softmax
 from .errors import NotSimplex, UnknownActivation
 from .matcore import DenseMatrix
 
-# probe points for the fn/derivative consistency check; none sits on the
-# relu/elu kink at 0
-_PROBE = np.linspace(-6.0, 6.0, 24)
-_FD_STEP = 1e-5
-_FD_TOL = 1e-6
 # softmax's sup 1/2 lies at diverging logits: sign steps of 1 carry the search
 # on to this box's faces, where the two leading logits become equal
 _LOGIT_BOX = 20.0
@@ -30,31 +24,20 @@ _BLOCK_BYTES = 2**20  # softmax starts advance in blocks of Jacobians this large
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """A named activation with scalar callbacks (softmax carries a dim instead)."""
+    """A named activation and its parameters (PARAMS says which each name reads)."""
 
     name: str
     alpha: float = 1.0
     dim: int = 0
-    scalar_fn: Optional[Callable] = None
-    scalar_derivative: Optional[Callable] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
+        # NAMES is a tuple, so a name that cannot be hashed is simply not in it
         if self.name not in NAMES:
             raise UnknownActivation(f"unknown activation {self.name!r}")
-        if self.name == "softmax":
-            if self.dim < 2:
-                raise ValueError("softmax needs dim >= 2")
-            return
-        if self.scalar_fn is None or self.scalar_derivative is None:
-            raise ValueError(f"{self.name} needs scalar_fn and scalar_derivative")
-        fd = (self.scalar_fn(_PROBE + _FD_STEP) - self.scalar_fn(_PROBE - _FD_STEP)) / (
-            2 * _FD_STEP
-        )
-        err = np.max(np.abs(fd - self.scalar_derivative(_PROBE)))
-        if err > _FD_TOL:
-            raise ValueError(
-                f"derivative callback disagrees with fn (max dev {err:.2e} > {_FD_TOL})"
-            )
+        if self.name == "softmax" and self.dim < 2:
+            raise ValueError("softmax needs dim >= 2")
 
 
 def _phi(x):
@@ -71,7 +54,8 @@ _SWISH_CONSTANT = 1.099839320128867
 
 
 def _elementwise(alpha):
-    """name -> (f, f', exact sup |f'|) of each elementwise activation."""
+    """name -> (f, f', exact sup |f'|) of each elementwise activation; f is
+    the reference that the table's test checks f' against."""
     return {
         "relu": (lambda x: np.maximum(0.0, x), lambda x: np.where(x > 0, 1.0, 0.0), 1.0),
         "leaky_relu": (
@@ -100,18 +84,13 @@ def _elementwise(alpha):
 
 ELEMENTWISE = tuple(_elementwise(1.0))
 NAMES = ELEMENTWISE + ("softmax",)
+# the parameters each activation reads; the others read none
+PARAMS = {"leaky_relu": ("alpha",), "elu": ("alpha",), "softmax": ("dim",)}
 
 
 def make_activation(name: str, alpha: float = 1.0, dim: int = 0) -> ActivationSpec:
-    """Build the spec for a named activation from the supported table."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
-    if name not in NAMES:
-        raise UnknownActivation(f"unknown activation {name!r}")
-    if name == "softmax":
-        return ActivationSpec(name="softmax", dim=dim)
-    fn, d, _ = _elementwise(alpha)[name]
-    return ActivationSpec(name=name, alpha=alpha, scalar_fn=fn, scalar_derivative=d)
+    """The spec of a named activation; only softmax keeps its dim."""
+    return ActivationSpec(name, alpha, dim if name == "softmax" else 0)
 
 
 def closed_form_lipschitz(a: ActivationSpec) -> float:
@@ -139,14 +118,15 @@ def numeric_scalar_lipschitz(
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"domain must be finite with lo < hi, got ({lo!r}, {hi!r})")
+    derivative = _elementwise(a.alpha)[a.name][1]
     xs = np.linspace(lo, hi, grid)
-    vals = np.abs(a.scalar_derivative(xs))
+    vals = np.abs(derivative(xs))
     idx = int(np.argmax(vals))
     best_x, best = float(xs[idx]), float(vals[idx])
     attained = not (idx == 0 or idx == grid - 1)
     for _ in range(4):
         xs = np.linspace(xs[max(0, idx - 1)], xs[min(len(xs) - 1, idx + 1)], 2049)
-        vals = np.abs(a.scalar_derivative(xs))
+        vals = np.abs(derivative(xs))
         idx = int(np.argmax(vals))
         if vals[idx] > best:
             best, best_x = float(vals[idx]), float(xs[idx])

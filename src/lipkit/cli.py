@@ -142,11 +142,11 @@ def cmd_activation(args):
     spec = activations.make_activation(
         args.name, dim=2 if args.dim is None else args.dim, **_passed(args, "alpha"))
     # a flag is refused for an activation that does not read it: each
-    # maximizer's flags for the other kind, and --alpha for all but two
+    # maximizer's flags for the other kind, and each parameter it does not read
     softmax = args.name == "softmax"
-    refused = ("--grid", "--domain") if softmax else ("--restarts", "--dim", "--seed")
-    if args.name not in ("leaky_relu", "elu"):
-        refused += ("--alpha",)
+    refused = ("--grid", "--domain") if softmax else ("--restarts", "--seed")
+    refused += tuple(f"--{param}" for param in ("dim", "alpha")
+                     if param not in activations.PARAMS.get(args.name, ()))
     for flag in refused:
         if _flag(args, flag) is not None:
             raise ValueError(f"{flag} does not apply to {args.name}")
@@ -307,16 +307,17 @@ def build_parser():
 
     p = sub.add_parser("activation", help="activation Lipschitz constants")
     p.add_argument("--name", required=True)
-    p.add_argument("--alpha", type=float, help="leaky_relu and elu slope (default 1)")
+    slopes = " and ".join(name for name, params in activations.PARAMS.items() if "alpha" in params)
+    p.add_argument("--alpha", type=float, help=f"{slopes} slope (default 1)")
     p.add_argument("--dim", type=int, default=None, help="softmax dimension (default 2)")
     p.add_argument("--numeric", action="store_true", help="also run the numerical maximizer")
     p.add_argument("--domain", type=float, nargs=2, help="elementwise scan (default -20 20)")
     p.add_argument("--grid", type=int, help="elementwise scan points (default 2048)")
     p.add_argument("--restarts", type=int, help="softmax starts (default 10)")
     p.add_argument("--seed", type=int, help="softmax start seed (default 0)")
-    p.set_defaults(fn=cmd_activation, least=(("--seed", 0),), needs=(
-        ("--domain", "--numeric"), ("--grid", "--numeric"), ("--restarts", "--numeric"),
-        ("--seed", "--numeric")))
+    p.set_defaults(fn=cmd_activation, least=(("--seed", 0), ("--restarts", 1), ("--dim", 2)),
+                   needs=(("--domain", "--numeric"), ("--grid", "--numeric"),
+                          ("--restarts", "--numeric"), ("--seed", "--numeric")))
 
     p = sub.add_parser("fourier", help="spectral Lipschitz analysis of a signal CSV")
     p.add_argument("--signal", required=True)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import lambertw, softmax
 
 from .activations import (
+    PARAMS,
     ActivationSpec,
     closed_form_lipschitz,
     make_activation,
@@ -142,11 +143,15 @@ def _activation(value, where):
     if isinstance(value, dict):
         if "name" not in value:
             raise GraphInvalid(f"{where}: activation object needs a 'name'")
-        return make_activation(
+        spec = make_activation(
             value["name"],
             alpha=_typed(value.get("alpha", 1.0), float, where, "alpha"),
             dim=_typed(value.get("dim", 0), int, where, "dim"),
         )
+        for field in ("alpha", "dim"):
+            if field in value and field not in PARAMS.get(spec.name, ()):
+                raise GraphInvalid(f"{where}: activation {spec.name!r} does not read {field!r}")
+        return spec
     raise GraphInvalid(f"{where}: activation must be a name or object")
 
 
@@ -422,6 +427,7 @@ def _as_array(value) -> np.ndarray:
         raise InvalidParams(f"parameter value {value!r} is not a numeric array") from None
 
 
+@np.errstate(over="raise", invalid="raise")
 def attention_bound(kind: str, params: dict) -> float:
     """Closed-form Lipschitz bounds for dot-product self-attention.
 
@@ -434,7 +440,9 @@ def attention_bound(kind: str, params: dict) -> float:
       kim_linf  -- global inf-norm variant of the same;
       yudin     -- single-head bound through the row-wise softmax Jacobian.
 
-    Sequence matrices x are measured in the Frobenius norm.
+    Sequence matrices x are measured in the Frobenius norm. An array
+    operation on the parameters that overflows or yields NaN raises
+    FloatingPointError (exit 5 in the CLI) rather than warning.
     """
     if kind == "hu_local":
         n = int(_number(params, "n", kind))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 
 from lipkit import activations
 from lipkit.activations import (
+    ELEMENTWISE,
     NAMES,
     _LOGIT_BOX,
+    ActivationSpec,
+    _elementwise,
     _top_eigenvalues,
     closed_form_lipschitz,
     make_activation,
@@ -78,6 +82,36 @@ class TestClosedForms:
             make_activation("leaky_relu", alpha=alpha)
 
 
+class TestTable:
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 2.0, -0.5, -2.0])
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_derivative_matches_central_differences(self, name, alpha):
+        # no probe point sits on the relu/elu kink at 0
+        fn, derivative, _ = _elementwise(alpha)[name]
+        xs, step = np.linspace(-6.0, 6.0, 24), 1e-5
+        fd = (fn(xs + step) - fn(xs - step)) / (2 * step)
+        assert np.max(np.abs(fd - derivative(xs))) <= 1e-6
+
+
+class TestSpec:
+    def test_spec_is_a_plain_value(self):
+        assert [f.name for f in dataclasses.fields(ActivationSpec)] == ["name", "alpha", "dim"]
+        assert make_activation("gelu") == make_activation("gelu")
+
+    def test_dim_kept_for_softmax_only(self):
+        assert make_activation("tanh", dim=7) == ActivationSpec("tanh")
+        assert make_activation("softmax", dim=7).dim == 7
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_softmax_needs_dim_two(self, dim):
+        with pytest.raises(ValueError, match="softmax needs dim >= 2"):
+            ActivationSpec("softmax", dim=dim)
+
+    def test_alpha_checked_before_name(self):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            ActivationSpec("selu", alpha=float("nan"))
+
+
 class TestNumericScalar:
     def test_sigmoid_quarter_at_zero(self):
         res = numeric_scalar_lipschitz(make_activation("sigmoid"))
@@ -141,15 +175,6 @@ class TestNumericScalar:
         with pytest.raises(UnknownActivation):
             numeric_scalar_lipschitz(make_activation("softmax", dim=3))
 
-    def test_derivative_mismatch_rejected(self):
-        from lipkit.activations import ActivationSpec
-
-        with pytest.raises(ValueError, match="disagrees"):
-            ActivationSpec(
-                name="tanh",
-                scalar_fn=np.tanh,
-                scalar_derivative=lambda x: np.cos(x),
-            )
 
 
 class TestSoftmaxJacobian:

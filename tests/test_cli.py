@@ -263,8 +263,11 @@ class TestActivation:
     @pytest.mark.parametrize(
         "flags, text",
         [
+            (["--name", "gelu", "--numeric", "--restarts", "3"], "--restarts does not apply to gelu"),
+            # least rows come first: a count below its least value is named
+            # even for an activation that does not read the flag
             (["--name", "gelu", "--numeric", "--restarts", "0", "--dim", "1"],
-             "--restarts does not apply to gelu"),
+             "--restarts must be at least 1, got 0"),
             (["--name", "tanh", "--dim", "3"], "--dim does not apply to tanh"),
             (["--name", "softmax", "--dim", "3", "--numeric", "--grid", "8", "--domain", "5", "1"],
              "--grid does not apply to softmax"),
@@ -275,8 +278,8 @@ class TestActivation:
             (["--name", "softmax", "--alpha", "3"], "--alpha does not apply to softmax"),
             (["--name", "gelu", "--numeric", "--seed", "7"], "--seed does not apply to gelu"),
         ],
-        ids=["restarts-gelu", "dim-tanh", "grid-softmax", "domain-softmax", "grid-without-numeric",
-             "alpha-relu", "alpha-softmax", "seed-gelu"],
+        ids=["restarts-gelu", "restarts-zero-gelu", "dim-tanh", "grid-softmax", "domain-softmax",
+             "grid-without-numeric", "alpha-relu", "alpha-softmax", "seed-gelu"],
     )
     def test_flag_of_the_other_maximizer_exits_2(self, capsys, flags, text):
         assert run(capsys, "activation", *flags) == (2, "", f"error: {text}\n")
@@ -717,9 +720,9 @@ def test_count_below_one_exits_2(capsys, tmp_path, argv, text):
 @pytest.mark.parametrize(
     "flags, text",
     [
-        (["--name", "softmax", "--numeric", "--restarts", "0"], "restarts must be at least 1, got 0"),
-        (["--name", "softmax", "--numeric", "--restarts", "-2"], "restarts must be at least 1, got -2"),
-        (["--name", "softmax", "--dim", "0"], "softmax needs dim >= 2"),
+        (["--name", "softmax", "--numeric", "--restarts", "0"], "--restarts must be at least 1, got 0"),
+        (["--name", "softmax", "--numeric", "--restarts", "-2"], "--restarts must be at least 1, got -2"),
+        (["--name", "softmax", "--dim", "0"], "--dim must be at least 2, got 0"),
         (["--name", "tanh", "--numeric", "--domain", "nan", "5"],
          "domain must be finite with lo < hi, got (nan, 5.0)"),
         (["--name", "tanh", "--numeric", "--domain", "inf", "5"],
@@ -821,6 +824,31 @@ def test_negative_alpha_bound_is_its_magnitude(capsys, tmp_path, name):
     code, out, _ = run(capsys, *_network(tmp_path, _net_with(node)))
     assert code == 0
     assert "bound = 2\n" in out
+
+
+@pytest.mark.parametrize(
+    "activation, field",
+    [({"name": "relu", "alpha": 5}, "alpha"), ({"name": "tanh", "dim": 7}, "dim"),
+     ({"name": "softmax", "dim": 3, "alpha": 3}, "alpha")],
+    ids=["relu-alpha", "tanh-dim", "softmax-alpha"],
+)
+def test_activation_field_it_does_not_read_exits_2(capsys, tmp_path, activation, field):
+    node = {"id": "a", "kind": "activation", "activation": activation}
+    text = f"node 'a': activation {activation['name']!r} does not read {field!r}"
+    assert run(capsys, *_network(tmp_path, _net_with(node))) == (2, "", f"error: {text}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, params, op",
+    [("kim_l2", {"heads": [[[], [1.3407807929942597e154]]], "w_o": "w", "n": 3, "d": 2}, "dot"),
+     ("kim_linf", {"heads": [["w", "w"]], "w_o": [[1e308, 1e308], [1e308, 1e308]], "n": 2, "d": 2},
+      "reduce")],
+    ids=["kim_l2-vector-norm", "kim_linf-row-sum"],
+)
+def test_attention_overflow_exits_5_naming_it(capsys, tmp_path, kind, params, op):
+    node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
+    code, out, err = run(capsys, *_network(tmp_path, _net_with(node)))
+    assert (code, out, err) == (5, "", f"numeric error: overflow encountered in {op}\n")
 
 
 def test_hessian_of_a_huge_singular_value_names_the_overflow(capsys, tmp_path):

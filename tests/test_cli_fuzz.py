@@ -27,7 +27,7 @@ VALID_NET = {
         {"id": "in", "kind": "input"},
         {"id": "l1", "kind": "linear", "weight_ref": "w"},
         {"id": "act", "kind": "activation", "activation": "relu"},
-        {"id": "elu", "kind": "activation", "activation": {"name": "elu", "alpha": 0.5, "dim": 0}},
+        {"id": "elu", "kind": "activation", "activation": {"name": "elu", "alpha": 0.5}},
         {"id": "res", "kind": "residual_group", "inner_lip": 0.5},
         {"id": "hu", "kind": "attention", "attention_kind": "hu_local",
          "params": {"n": 2, "x_norm": 1.0, "delta": 0.1, "w_v": "w", "w_q": "w", "w_k": "w"}},
@@ -79,6 +79,11 @@ def _run(name, text, *argv):
             code = main([path if arg == "{}" else arg for arg in argv])
     assert code == 0 or out.getvalue() == "", (code, out.getvalue())
     return code
+
+
+def test_unmutated_network_is_accepted():
+    # the base document is valid, so a mutated one is refused only for its mutation
+    assert _run("net.json", json.dumps(VALID_NET), "bound", "--net", "{}") == 0
 
 
 @given(st.sampled_from(list(_paths(VALID_NET))), JSON_VALUES,

@@ -12,6 +12,7 @@ from lipkit.errors import (
     LengthMismatch,
     NonBracketable,
     NotAPath,
+    UnknownActivation,
     UnknownNode,
 )
 from lipkit.matcore import DenseMatrix
@@ -159,6 +160,41 @@ class TestGraphValidation:
         g = figure_graph()
         with pytest.raises(UnknownNode):
             node_lipschitz(g, "zz")
+
+
+class TestGraphFromDoc:
+    @staticmethod
+    def _doc(activation):
+        return {
+            "nodes": [{"id": "in", "kind": "input"},
+                      {"id": "a", "kind": "activation", "activation": activation},
+                      {"id": "out", "kind": "scalar_lip", "lip": 1.0}],
+            "edges": [["in", "a"], ["a", "out"]],
+        }
+
+    @pytest.mark.parametrize(
+        "activation, field",
+        [({"name": "relu", "alpha": 5}, "alpha"), ({"name": "tanh", "dim": 7}, "dim"),
+         ({"name": "softmax", "dim": 3, "alpha": 3}, "alpha")],
+        ids=["relu-alpha", "tanh-dim", "softmax-alpha"],
+    )
+    def test_field_not_read_refused(self, activation, field):
+        text = f"node 'a': activation {activation['name']!r} does not read {field!r}"
+        with pytest.raises(GraphInvalid) as info:
+            netbounds.graph_from_doc(self._doc(activation))
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("activation", [{"name": "leaky_relu", "alpha": 0.1},
+                                            {"name": "elu", "alpha": 2},
+                                            {"name": "softmax", "dim": 3}])
+    def test_field_read_accepted(self, activation):
+        g = netbounds.graph_from_doc(self._doc(activation))
+        assert g.node("a").activation == make_activation(**activation)
+
+    @pytest.mark.parametrize("name", ["selu", ["relu"], {"n": 1}])
+    def test_unknown_name_refused_before_its_fields(self, name):
+        with pytest.raises(UnknownActivation):
+            netbounds.graph_from_doc(self._doc({"name": name, "alpha": 5}))
 
 
 class TestNodeLipschitz:
