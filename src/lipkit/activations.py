@@ -8,7 +8,7 @@ independent check of each value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf, expit, softmax
@@ -24,7 +24,8 @@ _BLOCK_BYTES = 2**20  # softmax starts advance in blocks of Jacobians this large
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """A named activation and its parameters (PARAMS says which each name reads)."""
+    """A named activation and its parameters (PARAMS says which each name
+    reads; a parameter it does not read must keep its default)."""
 
     name: str
     alpha: float = 1.0
@@ -36,6 +37,10 @@ class ActivationSpec:
         # NAMES is a tuple, so a name that cannot be hashed is simply not in it
         if self.name not in NAMES:
             raise UnknownActivation(f"unknown activation {self.name!r}")
+        read = PARAMS.get(self.name, ())
+        for field in fields(self)[1:]:
+            if field.name not in read and getattr(self, field.name) != field.default:
+                raise ValueError(f"activation {self.name!r} does not read {field.name!r}")
         if self.name == "softmax" and self.dim < 2:
             raise ValueError("softmax needs dim >= 2")
 
@@ -89,8 +94,8 @@ PARAMS = {"leaky_relu": ("alpha",), "elu": ("alpha",), "softmax": ("dim",)}
 
 
 def make_activation(name: str, alpha: float = 1.0, dim: int = 0) -> ActivationSpec:
-    """The spec of a named activation; only softmax keeps its dim."""
-    return ActivationSpec(name, alpha, dim if name == "softmax" else 0)
+    """The spec of a named activation."""
+    return ActivationSpec(name, alpha, dim)
 
 
 def closed_form_lipschitz(a: ActivationSpec) -> float:

@@ -139,8 +139,6 @@ def cmd_svd_deriv(args):
 
 
 def cmd_activation(args):
-    spec = activations.make_activation(
-        args.name, dim=2 if args.dim is None else args.dim, **_passed(args, "alpha"))
     # a flag is refused for an activation that does not read it: each
     # maximizer's flags for the other kind, and each parameter it does not read
     softmax = args.name == "softmax"
@@ -150,6 +148,10 @@ def cmd_activation(args):
     for flag in refused:
         if _flag(args, flag) is not None:
             raise ValueError(f"{flag} does not apply to {args.name}")
+    params = _passed(args, "alpha", "dim")
+    if softmax:
+        params.setdefault("dim", 2)
+    spec = activations.make_activation(args.name, **params)
     lines = [f"{args.name} {_fmt(activations.closed_form_lipschitz(spec))}"]
     # both lines are computed before either is printed, so a refused input
     # leaves stdout empty

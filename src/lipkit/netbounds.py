@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import lambertw, softmax
 
 from .activations import (
+    NAMES,
     PARAMS,
     ActivationSpec,
     closed_form_lipschitz,
@@ -120,15 +121,15 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
                int: "an integer", float: "a finite number"}
 
 
-def _typed(value, kind, where, field):
+def _typed(value, kind, where, field, error=GraphInvalid):
     """``value`` if it has JSON type ``kind`` (``float``: any finite number,
-    returned as a float), else GraphInvalid naming ``where`` and ``field``."""
+    returned as a float), else ``error`` naming ``where`` and ``field``."""
     if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
         if kind is not float:
             return value
         if abs(value) <= sys.float_info.max:  # no NaN, inf or int beyond float range
             return float(value)
-    raise GraphInvalid(f"{where}: {field!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    raise error(f"{where}: {field!r} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 def _pair(value, where, field):
@@ -143,15 +144,13 @@ def _activation(value, where):
     if isinstance(value, dict):
         if "name" not in value:
             raise GraphInvalid(f"{where}: activation object needs a 'name'")
-        spec = make_activation(
-            value["name"],
-            alpha=_typed(value.get("alpha", 1.0), float, where, "alpha"),
-            dim=_typed(value.get("dim", 0), int, where, "dim"),
-        )
+        name = value["name"]
         for field in ("alpha", "dim"):
-            if field in value and field not in PARAMS.get(spec.name, ()):
-                raise GraphInvalid(f"{where}: activation {spec.name!r} does not read {field!r}")
-        return spec
+            # an unknown name is left to make_activation, which refuses it
+            if field in value and name in NAMES and field not in PARAMS.get(name, ()):
+                raise GraphInvalid(f"{where}: activation {name!r} does not read {field!r}")
+        return make_activation(name, alpha=_typed(value.get("alpha", 1.0), float, where, "alpha"),
+                               dim=_typed(value.get("dim", 0), int, where, "dim"))
     raise GraphInvalid(f"{where}: activation must be a name or object")
 
 
@@ -174,13 +173,6 @@ def graph_from_doc(doc) -> NetworkGraph:
         except (TypeError, ValueError, OverflowError) as exc:
             raise GraphInvalid(f"{where}: {exc}") from None
 
-    def resolve(where, value):
-        if isinstance(value, str):
-            if value not in matrices:
-                raise GraphInvalid(f"{where}: parameter matrix {value!r} not in 'matrices'")
-            return matrices[value]
-        return value
-
     nodes = []
     for entry in _typed(doc.get("nodes", []), list, "network", "nodes"):
         if not isinstance(entry, dict):
@@ -201,14 +193,9 @@ def graph_from_doc(doc) -> NetworkGraph:
             if entry.get(field) is not None:
                 kwargs[field] = _typed(entry[field], float, where, field)
         elif kind == "attention":
-            kwargs["attention_kind"] = entry.get("attention_kind")
-            params = dict(_typed(entry.get("params") or {}, dict, where, "params"))
-            if "heads" in params:
-                params["heads"] = [
-                    tuple(resolve(where, w) for w in _pair(head, where, "heads"))
-                    for head in _typed(params["heads"], list, where, "heads")
-                ]
-            kwargs["attention_params"] = {k: resolve(where, v) for k, v in params.items()}
+            attention = kwargs["attention_kind"] = entry.get("attention_kind")
+            kwargs["attention_params"] = _attention_params(
+                attention, entry.get("params") or {}, where, matrices)
         nodes.append(Node(id=nid, kind=kind, **kwargs))
 
     edges = [
@@ -398,135 +385,139 @@ def phi_inverse(y: float) -> float:
     return float(lambertw(y / math.e).real)
 
 
-def _get(params, key, kind):
+def _matrix(value, where, key, matrices):
+    """``value`` as a DenseMatrix; a string names one of ``matrices``."""
+    if isinstance(value, str):
+        if value not in matrices:
+            raise InvalidParams(f"{where}: {key!r}: matrix {value!r} not in 'matrices'")
+        return matrices[value]
     try:
-        return params[key]
-    except KeyError:
-        raise InvalidParams(f"{kind}: missing parameter {key!r}") from None
+        return value if isinstance(value, DenseMatrix) else DenseMatrix(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"{where}: {key!r}: {exc}") from None
 
 
-def _number(params, key, kind, default=None):
-    """params[key] (``default`` when absent, if given) as a finite float."""
-    value = _get(params, key, kind) if default is None else params.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise InvalidParams(f"{kind}: parameter {key!r} must be a finite number, got {value!r}")
-    return number
+def _heads(value, where, key, matrices):
+    heads = _typed(value, list, where, key, InvalidParams)
+    if not heads or not all(isinstance(h, (list, tuple)) and len(h) == 2 for h in heads):
+        raise InvalidParams(f"{where}: {key!r} must be a nonempty list of [W_Q, W_V] pairs")
+    return [tuple(_matrix(w, where, key, matrices) for w in head) for head in heads]
 
 
-def _as_array(value) -> np.ndarray:
-    """A DenseMatrix's array, or any other value as a float array."""
-    if isinstance(value, DenseMatrix):
-        return value.array
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParams(f"parameter value {value!r} is not a numeric array") from None
+def _least(kind, lowest, rule=">="):
+    """The check that a value has JSON type ``kind`` and satisfies ``rule lowest``."""
+    def check(value, where, key, matrices):
+        number = _typed(value, kind, where, key, InvalidParams)
+        if number < lowest or (rule == ">" and number == lowest):
+            raise InvalidParams(f"{where}: {key!r} must be {rule} {lowest}, got {value!r}")
+        return number
+    return check
+
+
+_COUNT, _NONNEGATIVE = _least(int, 1), _least(float, 0)
+_KIM = {"heads": _heads, "w_o": _matrix, "n": _COUNT, "d": _least(float, 0, ">")}
+# the parameters each attention kind reads and the check each value passes.
+# Every one is required, except that hu_local reads exactly one of x_norm
+# and x (a sequence matrix, measured in the Frobenius norm) and its radius
+# delta defaults to 0.
+ATTENTION_PARAMS = {
+    "hu_local": {"n": _COUNT, "w_v": _matrix, "w_q": _matrix, "w_k": _matrix,
+                 "x_norm": _NONNEGATIVE, "x": _matrix, "delta": _NONNEGATIVE},
+    "kim_l2": _KIM,
+    "kim_linf": _KIM,
+    "yudin": {"w_q": _matrix, "w_k": _matrix, "w_v": _matrix, "x": _matrix},
+}
+
+
+def _attention_params(kind, params, where=None, matrices=()):
+    """``params`` checked against ATTENTION_PARAMS[kind], each value typed
+    (a string in a matrix's place names one of ``matrices``). A key the
+    kind does not read, a missing key or a bad value raises InvalidParams
+    naming ``where`` (default: the kind) and the key."""
+    table = ATTENTION_PARAMS.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise InvalidParams(f"{where + ': ' if where else ''}attention_kind must be one of "
+                            f"{', '.join(ATTENTION_PARAMS)}, got {kind!r}")
+    where = where or kind
+    hu = kind == "hu_local"
+    for key in _typed(params, dict, where, "params", InvalidParams):
+        if key not in table:
+            raise InvalidParams(f"{where}: attention {kind!r} does not read {key!r}")
+    if hu and ("x" in params) == ("x_norm" in params):
+        raise InvalidParams(f"{where}: hu_local reads exactly one of 'x_norm' and 'x'")
+    for key in table:
+        if key not in params and not (hu and key in ("x_norm", "x", "delta")):
+            raise InvalidParams(f"{where}: missing parameter {key!r}")
+    typed = {"delta": 0.0} if hu else {}
+    typed.update((key, table[key](value, where, key, matrices)) for key, value in params.items())
+    return typed
 
 
 @np.errstate(over="raise", invalid="raise")
 def attention_bound(kind: str, params: dict) -> float:
     """Closed-form Lipschitz bounds for dot-product self-attention.
 
-    kinds:
+    kinds (ATTENTION_PARAMS gives the parameters each reads):
       hu_local  -- local bound on a ball: n(n+1)(||x||+delta)^2
                    [||W_V|| ||W_Q|| ||W_K^T|| + ||W_V||], spectral norms;
-                   x_norm and the radius delta must be >= 0;
       kim_l2    -- global 2-norm bound, per-head (W_Q, W_V) pairs plus W_O,
                    with the x*exp(x+1) inverse at n-1;
       kim_linf  -- global inf-norm variant of the same;
       yudin     -- single-head bound through the row-wise softmax Jacobian.
 
     Sequence matrices x are measured in the Frobenius norm. An array
-    operation on the parameters that overflows or yields NaN raises
-    FloatingPointError (exit 5 in the CLI) rather than warning.
+    operation on the parameters that overflows or yields NaN, and a bound
+    that is not finite, raise FloatingPointError (exit 5 in the CLI) rather
+    than warning or returning inf.
     """
+    p = _attention_params(kind, params)
+
+    def norm(array, order=2):
+        return float(np.linalg.norm(array, order))
+
     if kind == "hu_local":
-        n = int(_number(params, "n", kind))
-        delta = _number(params, "delta", kind, default=0.0)
-        if "x_norm" in params:
-            x_norm = _number(params, "x_norm", kind)
-        else:
-            x_norm = float(np.linalg.norm(_as_array(_get(params, "x", kind))))
-        if x_norm < 0 or delta < 0:
-            raise InvalidParams(
-                f"{kind}: x_norm and delta must be >= 0, got {x_norm!r} and {delta!r}"
-            )
-        wv, wq, wk = (
-            float(np.linalg.norm(_as_array(_get(params, key, kind)), 2))
-            for key in ("w_v", "w_q", "w_k")
-        )
-        radius = x_norm + delta
+        n = p["n"]
+        x_norm = p["x_norm"] if "x_norm" in p else float(np.linalg.norm(p["x"].array))
+        wv, wq, wk = (norm(p[key].array) for key in ("w_v", "w_q", "w_k"))
+        radius = x_norm + p["delta"]
         if math.isinf(radius * radius):
             raise OverflowError(
-                f"{kind}: x_norm + delta = {radius!r}: its square overflows float64"
-            )
-        return n * (n + 1) * radius**2 * (wv * wq * wk + wv)
-
-    if kind in ("kim_l2", "kim_linf"):
-        heads = _get(params, "heads", kind)
-        if not heads:
-            raise InvalidParams(f"{kind}: heads list is empty")
-        w_o = _get(params, "w_o", kind)
-        n = int(_number(params, "n", kind))
-        d = _number(params, "d", kind)
-        h = float(len(heads))
-        if n < 1:
-            raise InvalidParams(f"{kind}: sequence length must be >= 1")
-        if d <= 0:
-            raise InvalidParams(f"{kind}: model width d must be > 0")
-        inv = phi_inverse(float(n - 1))
-        if kind == "kim_l2":
-            head_sum = sum(
-                float(np.linalg.norm(_as_array(wq), 2)) ** 2
-                * float(np.linalg.norm(_as_array(wv), 2)) ** 2
-                for wq, wv in heads
-            )
-            return (
-                math.sqrt(n)
-                / math.sqrt(d / h)
-                * (4.0 * inv + 1.0)
-                * math.sqrt(head_sum)
-                * float(np.linalg.norm(_as_array(w_o), 2))
-            )
-        q_term = max(
-            float(np.linalg.norm(_as_array(wq), np.inf))
-            * float(np.linalg.norm(_as_array(wq).T, np.inf))
-            for wq, _ in heads
-        )
-        v_term = max(float(np.linalg.norm(_as_array(wv).T, np.inf)) for _, wv in heads)
-        wo_norm = float(np.linalg.norm(_as_array(w_o).T, np.inf))
-        return (4.0 * inv + 1.0 / (d / h)) * wo_norm * q_term * v_term
-
-    if kind == "yudin":
-        wq, wk, wv, x = (_get(params, key, kind) for key in ("w_q", "w_k", "w_v", "x"))
-        x, wq, wk = _as_array(x), _as_array(wq), _as_array(wk)
-        if x.ndim != 2 or wq.ndim != 2 or wk.ndim != 2:
-            raise InvalidParams("yudin: x, W_Q and W_K must be matrices")
+                f"{kind}: x_norm + delta = {radius!r}: its square overflows float64")
+        bound = n * (n + 1) * radius**2 * (wv * wq * wk + wv)
+    elif kind == "yudin":
+        x, wq, wk = (p[key].array for key in ("x", "w_q", "w_k"))
         d = x.shape[1]
         if wq.shape[0] != d or wk.shape[0] != d:
-            raise InvalidParams(
-                f"yudin: W_Q/W_K first dimension must match x's width {d}"
-            )
+            raise InvalidParams(f"yudin: W_Q/W_K first dimension must match x's width {d}")
         a = wq @ wk.T / math.sqrt(d)
-        p = softmax(x @ a @ x.T, axis=1)
+        probs = softmax(x @ a @ x.T, axis=1)
         jac_norm = max(
-            float(np.linalg.norm(softmax_jacobian(np.ascontiguousarray(row)).array, 2))
-            for row in p
+            norm(softmax_jacobian(np.ascontiguousarray(row)).array) for row in probs
         )
-        return float(np.linalg.norm(_as_array(wv), 2)) * (
-            float(np.linalg.norm(p, 2))
-            + 2.0 * float(np.linalg.norm(x)) ** 2 * float(np.linalg.norm(a, 2)) * jac_norm
+        bound = norm(p["w_v"].array) * (
+            norm(probs) + 2.0 * float(np.linalg.norm(x)) ** 2 * norm(a) * jac_norm
         )
-
-    raise InvalidParams(f"unknown attention bound kind {kind!r}")
+    else:
+        heads, n, d = p["heads"], p["n"], p["d"]
+        h = float(len(heads))
+        inv = phi_inverse(float(n - 1))
+        if kind == "kim_l2":
+            head_sum = sum(norm(wq.array) ** 2 * norm(wv.array) ** 2 for wq, wv in heads)
+            bound = (math.sqrt(n) / math.sqrt(d / h) * (4.0 * inv + 1.0)
+                     * math.sqrt(head_sum) * norm(p["w_o"].array))
+        else:
+            q_term = max(norm(wq.array, np.inf) * norm(wq.array.T, np.inf) for wq, _ in heads)
+            v_term = max(norm(wv.array.T, np.inf) for _, wv in heads)
+            bound = (4.0 * inv + 1.0 / (d / h)) * norm(p["w_o"].array.T, np.inf) * q_term * v_term
+    if not math.isfinite(bound):
+        raise FloatingPointError(f"{kind}: the bound is {bound}: its arithmetic overflowed float64")
+    return bound
 
 
 def seqlip_pair_factor(u1, v1, r_l: float, r_next: float) -> float:
-    """Spectral-alignment factor for one consecutive layer pair.
+    """Spectral-alignment factor for one consecutive layer pair (Virmaux and
+    Scaman, SeqLip). It is an estimate, not a bound: it sees each layer
+    through its top singular vectors alone, and no lipkit bound calls it.
 
     Solves max over gradient patterns t in [0,1]^n of
     (1 - r_l - r_next) <t * v1, u1>^2 + r_l + r_next + r_l*r_next in closed

@@ -37,7 +37,7 @@ class TestClosedForms:
         ],
     )
     def test_table_values(self, name, expect):
-        spec = make_activation(name, dim=3)
+        spec = make_activation(name, dim=3 if name == "softmax" else 0)
         assert closed_form_lipschitz(spec) == expect
 
     def test_swish_appendix_digits(self):
@@ -99,8 +99,21 @@ class TestSpec:
         assert make_activation("gelu") == make_activation("gelu")
 
     def test_dim_kept_for_softmax_only(self):
-        assert make_activation("tanh", dim=7) == ActivationSpec("tanh")
+        assert make_activation("tanh") == ActivationSpec("tanh")
         assert make_activation("softmax", dim=7).dim == 7
+
+    @pytest.mark.parametrize("build", [make_activation, ActivationSpec])
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [("relu", {"alpha": 5}, "alpha"), ("tanh", {"dim": 7}, "dim"),
+         ("softmax", {"dim": 3, "alpha": 3}, "alpha")],
+    )
+    def test_parameter_it_does_not_read_refused(self, build, name, params, field):
+        with pytest.raises(ValueError, match=f"activation '{name}' does not read '{field}'"):
+            build(name, **params)
+
+    def test_parameter_at_its_default_accepted(self):
+        assert make_activation("relu", alpha=1.0, dim=0) == make_activation("relu")
 
     @pytest.mark.parametrize("dim", [0, 1])
     def test_softmax_needs_dim_two(self, dim):
@@ -292,7 +305,7 @@ def test_no_scipy_optimize_needed(monkeypatch):
     for name in ("minimize", "minimize_scalar", "brentq"):
         monkeypatch.setattr(scipy.optimize, name, refuse)
     for name in NAMES:
-        spec = make_activation(name, dim=3)
+        spec = make_activation(name, dim=3 if name == "softmax" else 0)
         closed = closed_form_lipschitz(spec)
         if name == "softmax":
             numeric = numeric_softmax_lipschitz(3)

@@ -277,9 +277,11 @@ class TestActivation:
             (["--name", "relu", "--alpha", "5"], "--alpha does not apply to relu"),
             (["--name", "softmax", "--alpha", "3"], "--alpha does not apply to softmax"),
             (["--name", "gelu", "--numeric", "--seed", "7"], "--seed does not apply to gelu"),
+            # the flag is refused before the spec is built, which would refuse the NaN
+            (["--name", "relu", "--alpha", "nan"], "--alpha does not apply to relu"),
         ],
         ids=["restarts-gelu", "restarts-zero-gelu", "dim-tanh", "grid-softmax", "domain-softmax",
-             "grid-without-numeric", "alpha-relu", "alpha-softmax", "seed-gelu"],
+             "grid-without-numeric", "alpha-relu", "alpha-softmax", "seed-gelu", "nan-alpha-relu"],
     )
     def test_flag_of_the_other_maximizer_exits_2(self, capsys, flags, text):
         assert run(capsys, "activation", *flags) == (2, "", f"error: {text}\n")
@@ -840,15 +842,27 @@ def test_activation_field_it_does_not_read_exits_2(capsys, tmp_path, activation,
 
 @pytest.mark.parametrize(
     "kind, params, op",
-    [("kim_l2", {"heads": [[[], [1.3407807929942597e154]]], "w_o": "w", "n": 3, "d": 2}, "dot"),
+    [("hu_local", {"n": 2, "x": [[1e200, 1e200]], "w_v": "w", "w_q": "w", "w_k": "w"}, "dot"),
      ("kim_linf", {"heads": [["w", "w"]], "w_o": [[1e308, 1e308], [1e308, 1e308]], "n": 2, "d": 2},
       "reduce")],
-    ids=["kim_l2-vector-norm", "kim_linf-row-sum"],
+    ids=["hu_local-frobenius-norm", "kim_linf-row-sum"],
 )
 def test_attention_overflow_exits_5_naming_it(capsys, tmp_path, kind, params, op):
     node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
     code, out, err = run(capsys, *_network(tmp_path, _net_with(node)))
     assert (code, out, err) == (5, "", f"numeric error: overflow encountered in {op}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("kim_l2", {"heads": [[[[1e154]], [[1e154]]]], "w_o": [[1]], "n": 3, "d": 2}),
+     ("hu_local", {"n": 2, "x_norm": 1.0, "w_v": [[1e200]], "w_q": [[1e200]], "w_k": [[1]]})],
+    ids=["kim_l2", "hu_local"],
+)
+def test_attention_bound_overflowing_to_inf_exits_5(capsys, tmp_path, kind, params):
+    node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
+    text = f"numeric error: {kind}: the bound is inf: its arithmetic overflowed float64\n"
+    assert run(capsys, *_network(tmp_path, _net_with(node))) == (5, "", text)
 
 
 def test_hessian_of_a_huge_singular_value_names_the_overflow(capsys, tmp_path):

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lipkit import netbounds
+from lipkit.cli import main
 from lipkit.activations import make_activation
 from lipkit.errors import (
     CycleDetected,
@@ -514,6 +516,9 @@ class TestResidualAndAlgebra:
             lip_algebra("mul", [1.0])
 
 
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
 class TestAttentionBounds:
     def test_zero_weights_vanish_for_every_kind(self):
         z = DenseMatrix(np.zeros((2, 2)))
@@ -582,7 +587,8 @@ class TestAttentionBounds:
     def test_hu_local_negative_radius_part_refused(self, x_norm, delta):
         eye = DenseMatrix(np.eye(2))
         params = {"n": 2, "x_norm": x_norm, "delta": delta, "w_q": eye, "w_k": eye, "w_v": eye}
-        with pytest.raises(InvalidParams, match="x_norm and delta must be >= 0"):
+        key = "delta" if delta < 0 else "x_norm"
+        with pytest.raises(InvalidParams, match=f"hu_local: '{key}' must be >= 0, got -"):
             attention_bound("hu_local", params)
 
     def test_missing_params(self):
@@ -598,6 +604,116 @@ class TestAttentionBounds:
             assert x * math.exp(x + 1.0) == pytest.approx(y, rel=1e-14)
         with pytest.raises(NonBracketable):
             phi_inverse(-1.0)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("hu_local", {"n": 2, "x_norm": 1.0, "w_v": [[1e200]], "w_q": [[1e200]], "w_k": [[1.0]]}),
+         ("kim_l2", {"heads": [[[[1e154]], [[1e154]]]], "w_o": [[1.0]], "n": 3, "d": 2}),
+         ("kim_linf", {"heads": [[[[1e200]], [[1.0]]]], "w_o": [[1.0]], "n": 2, "d": 2}),
+         ("yudin", {"w_q": _EYE, "w_k": _EYE, "w_v": [[1.7e308]], "x": _EYE})],
+        ids=["hu_local", "kim_l2", "kim_linf", "yudin"],
+    )
+    def test_bound_overflowing_in_float_arithmetic_raises_naming_the_kind(self, kind, params):
+        # each overflow happens in Python floats, which np.errstate does not see
+        with pytest.raises(FloatingPointError, match=f"^{kind}: the bound is inf"):
+            attention_bound(kind, params)
+
+
+# a valid parameter set of each attention kind, all matrices inline
+_VALID_ATTENTION = {
+    "hu_local": {"n": 2, "x": [[1.0, 0.0], [0.5, 0.5]], "delta": 0.5,
+                 "w_v": _EYE, "w_q": _EYE, "w_k": _EYE},
+    "kim_l2": {"heads": [[_EYE, _EYE]], "w_o": _EYE, "n": 3, "d": 2},
+    "kim_linf": {"heads": [[_EYE, _EYE]], "w_o": _EYE, "n": 3, "d": 2},
+    "yudin": {"w_q": _EYE, "w_k": _EYE, "w_v": _EYE, "x": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
+}
+_BAD_MATRICES = {
+    "nan": [[math.nan, 0.0], [0.0, 1.0]], "inf": [[math.inf, 0.0], [0.0, 1.0]],
+    "-inf": [[-math.inf]], "1-D": [1.0, 2.0], "3-D": [[[1.0]]], "ragged": [[1.0, 2.0], [3.0]],
+    "empty": [[]], "unknown-ref": "nope",
+}
+
+
+def _refused_attention():
+    """(id, kind, params, key): a parameter set the attention table refuses,
+    and the key its message names."""
+    for kind, valid in _VALID_ATTENTION.items():
+        yield f"{kind}-unknown-key", kind, {**valid, "dleta": 0.5}, "dleta"
+        for key in valid:
+            if key != "delta":  # the one optional key
+                yield f"{kind}-missing-{key}", kind, {k: v for k, v in valid.items() if k != key}, key
+        for bad in ([True, 2.7, 0, -3, "w"] if "n" in valid else []):
+            yield f"{kind}-n-{bad}", kind, {**valid, "n": bad}, "n"
+        for key, value in valid.items():
+            if value is _EYE or key == "x":
+                for label, bad in _BAD_MATRICES.items():
+                    yield f"{kind}-{key}-{label}", kind, {**valid, key: bad}, key
+        if "heads" in valid:
+            for label, bad in _BAD_MATRICES.items():
+                yield f"{kind}-heads-{label}", kind, {**valid, "heads": [[bad, _EYE]]}, "heads"
+            for label, bad in (("none", []), ("not-a-pair", [[_EYE]]), ("object", {})):
+                yield f"{kind}-heads-{label}", kind, {**valid, "heads": bad}, "heads"
+            yield f"{kind}-d-0", kind, {**valid, "d": 0}, "d"
+    yield "hu_local-x-and-x_norm", "hu_local", {**_VALID_ATTENTION["hu_local"], "x_norm": 1.0}, "x_norm"
+
+
+_REFUSED_ATTENTION = list(_refused_attention())
+
+
+class TestAttentionParams:
+    @pytest.mark.parametrize("kind", _VALID_ATTENTION)
+    def test_valid_set_accepted(self, kind):
+        assert math.isfinite(attention_bound(kind, _VALID_ATTENTION[kind]))
+
+    def test_table_has_every_kind_and_key(self):
+        assert {kind: set(table) for kind, table in netbounds.ATTENTION_PARAMS.items()} == {
+            kind: set(valid) | ({"x_norm"} if kind == "hu_local" else set())
+            for kind, valid in _VALID_ATTENTION.items()
+        }
+
+    @pytest.mark.parametrize("kind, params, key", [case[1:] for case in _REFUSED_ATTENTION],
+                             ids=[case[0] for case in _REFUSED_ATTENTION])
+    def test_refused_naming_the_key(self, kind, params, key):
+        with pytest.raises(InvalidParams) as info:
+            attention_bound(kind, params)
+        assert str(info.value).startswith(f"{kind}: ") and repr(key) in str(info.value)
+
+    @pytest.mark.parametrize("kind, params, key", [case[1:] for case in _REFUSED_ATTENTION],
+                             ids=[case[0] for case in _REFUSED_ATTENTION])
+    def test_refused_by_the_network_reader_naming_node_and_key(self, capsys, tmp_path, kind, params, key):
+        doc = {
+            "nodes": [{"id": "in", "kind": "input"},
+                      {"id": "a", "kind": "attention", "attention_kind": kind, "params": params},
+                      {"id": "out", "kind": "scalar_lip", "lip": 1.0}],
+            "edges": [["in", "a"], ["a", "out"]],
+            "matrices": {"w": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}},
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        code = main(["bound", "--net", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: node 'a': ") and err.count("\n") == 1
+        assert repr(key) in err
+
+    def test_unknown_kind_refused_by_the_reader(self):
+        node = {"id": "a", "kind": "attention", "attention_kind": "bogus"}
+        doc = {"nodes": [{"id": "in", "kind": "input"}, node], "edges": [["in", "a"]]}
+        with pytest.raises(InvalidParams, match="^node 'a': attention_kind must be one of"):
+            netbounds.graph_from_doc(doc)
+
+    def test_reader_stores_the_typed_parameters(self):
+        doc = {
+            "nodes": [{"id": "in", "kind": "input"},
+                      {"id": "a", "kind": "attention", "attention_kind": "hu_local",
+                       "params": {"n": 2, "x_norm": 1, "w_v": "w", "w_q": [[2, 0]], "w_k": "w"}}],
+            "edges": [["in", "a"]],
+            "matrices": {"w": {"rows": 1, "cols": 2, "data": [3, 4]}},
+        }
+        params = netbounds.graph_from_doc(doc).node("a").attention_params
+        assert params == {"n": 2, "x_norm": 1.0, "delta": 0.0, "w_v": DenseMatrix([[3.0, 4.0]]),
+                          "w_q": DenseMatrix([[2.0, 0.0]]), "w_k": DenseMatrix([[3.0, 4.0]])}
+        assert attention_bound("hu_local", params) == 6 * (5 * 2 * 5 + 5)
 
 
 class TestSeqLip:
