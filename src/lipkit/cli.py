@@ -67,7 +67,7 @@ def _open_out(path):
 def load_network_json(path) -> netbounds.NetworkGraph:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=netbounds._data_arrays)
         return netbounds.graph_from_doc(doc)
     except RecursionError:
         raise ValueError(f"{path}: nested too deeply") from None

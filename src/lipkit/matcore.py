@@ -264,49 +264,83 @@ def _raise_row_error(path, lines, start, width):
 # higher.
 _BLOCK_BYTES = 1 << 13
 
+# whitespace to numpy's reader next to a number, but not to float() or int()
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
-def _field_blocks(fh, start=1, width=None):
-    """Read ``fh`` in blocks of whole lines and split each block at once.
 
-    Yields, per block: the file line number of its first line (``start``
-    is that of the first line read), its lines, the row width, and the
-    fields of its non-blank rows in row order -- None when a row is not
-    ``width`` fields wide. The width is the first row's unless given.
-    Lines end where file iteration ends them, so a line number here is
-    the line number that :func:`_csv_rows` gives.
-    """
+def _line_blocks(fh, start=1):
+    """(file line number of its first line, its lines) for each block of
+    whole lines of ``fh``; ``start`` is that of the first line read. Lines
+    end where file iteration ends them, so a line number here is the line
+    number that :func:`_csv_rows` gives."""
     while lines := fh.readlines(_BLOCK_BYTES):
-        rows = list(filter(None, map(str.strip, lines)))
-        fields = []
-        if rows:
-            if width is None:
-                width = rows[0].count(",") + 1
-            commas = list(map(str.count, rows, repeat(",")))
-            fields = ",".join(rows).split(",") if commas.count(width - 1) == len(rows) else None
-        yield start, lines, width, fields
+        yield start, lines
         start += len(lines)
+
+
+def _loadtxt(lines, dtype, ndmin):
+    """The rows of ``lines`` parsed by numpy's C reader, or None where the
+    line reader must read them: numpy refuses them, they are all blank
+    (numpy would warn of no data), or they hold a character of
+    ``_NUMPY_ONLY_SPACE``. Any field numpy accepts, ``float`` (and ``int``)
+    reads to the same number."""
+    text = "".join(lines)
+    if text.isspace() or any(char in text for char in _NUMPY_ONLY_SPACE):
+        return None
+    try:
+        return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=ndmin)
+    except ValueError:
+        return None
+
+
+def _split_fields(lines, width=None):
+    """The row width (the first row's unless given) and the fields of the
+    non-blank rows of ``lines`` in row order, split at once -- None when a
+    row is not ``width`` fields wide."""
+    rows = list(filter(None, map(str.strip, lines)))
+    fields = []
+    if rows:
+        if width is None:
+            width = rows[0].count(",") + 1
+        commas = list(map(str.count, rows, repeat(",")))
+        fields = ",".join(rows).split(",") if commas.count(width - 1) == len(rows) else None
+    return width, fields
+
+
+def _float_rows(path, lines, start, width):
+    """The line reader: the rows of ``lines`` (the first of which is file
+    line ``start``) converted by ``float`` in one pass, as a 2-D array;
+    the error for rows that fail comes from :func:`_raise_row_error`, which
+    names the first bad line."""
+    width, fields = _split_fields(lines, width)
+    if fields == []:
+        return np.empty((0, 0))
+    block = None
+    if fields is not None:
+        try:
+            block = np.fromiter(map(float, fields), np.float64, len(fields))
+        except ValueError:
+            pass
+    if block is None or not np.isfinite(block).all():
+        _raise_row_error(path, lines, start, width)
+    return block.reshape(-1, width)
 
 
 def _read_numbers(path, fh, start=1, width=None) -> np.ndarray:
     """The finite number rows of ``fh`` as a 2-D array (0 x 0 when there is
     none), all of one width (the first row's unless ``width`` is given).
 
-    Each block is converted by ``float`` in one pass; the error for a block
-    that fails comes from :func:`_raise_row_error`, which names the first
-    bad line.
+    Each block of lines goes to numpy's reader; a block it leaves, or whose
+    rows are not finite or not ``width`` wide, goes to :func:`_float_rows`.
     """
     blocks = []
-    for first, lines, width, fields in _field_blocks(fh, start, width):
-        block = None
-        if fields is not None:
-            try:
-                block = np.fromiter(map(float, fields), np.float64, len(fields))
-            except ValueError:
-                pass
-        if block is None or not np.isfinite(block).all():
-            _raise_row_error(path, lines, first, width)
+    for first, lines in _line_blocks(fh, start):
+        block = _loadtxt(lines, np.float64, 2)
+        if block is None or width not in (None, block.shape[1]) or not np.isfinite(block).all():
+            block = _float_rows(path, lines, first, width)
         if block.size:
-            blocks.append(block.reshape(-1, width))
+            width = block.shape[1]
+            blocks.append(block)
     return np.concatenate(blocks) if blocks else np.empty((0, 0))
 
 

@@ -12,6 +12,7 @@ alignment refinement, and margin-based certified radii.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -132,6 +133,42 @@ def _typed(value, kind, where, field, error=GraphInvalid):
     raise error(f"{where}: {field!r} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
+def _as_floats(values):
+    """The list ``values`` as a float64 array, or None unless each entry is
+    a JSON number (an int or a float, never a bool) within float64 range."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:  # an int beyond float64 range
+            pass
+    return None
+
+
+def _numbers(values, where, key, error=GraphInvalid, at=""):
+    """The list ``values`` (``key`` of ``where``, at index ``at`` within it)
+    as a float64 array; else ``error`` naming ``where``, ``key`` and the
+    index of the first entry that is not a finite number."""
+    array = _as_floats(values)
+    if array is None:
+        for i, value in enumerate(values):
+            if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+                raise error(f"{where}: {key!r}{at}[{i}] must be a finite number, "
+                            f"got {reprlib.repr(value)}")
+    return array
+
+
+def _data_arrays(obj):
+    """json ``object_hook``: an object's ``data`` list of numbers becomes a
+    float64 array as the object closes, so that while a network file is
+    decoded, one matrix at a time is held as Python floats."""
+    data = obj.get("data")
+    if type(data) is list:
+        array = _as_floats(data)
+        if array is not None:
+            obj["data"] = array
+    return obj
+
+
 def _pair(value, where, field):
     if not (isinstance(value, list) and len(value) == 2):
         raise GraphInvalid(f"{where}: each of {field!r} must be a pair, got {value!r}")
@@ -167,7 +204,9 @@ def graph_from_doc(doc) -> NetworkGraph:
             if key not in spec:
                 raise GraphInvalid(f"{where}: missing field {key!r}")
         rows, cols = (_typed(spec[key], int, where, key) for key in ("rows", "cols"))
-        data = _typed(spec["data"], list, where, "data")
+        data = spec["data"]  # an array where _data_arrays decoded it
+        if not isinstance(data, np.ndarray):
+            data = _numbers(_typed(data, list, where, "data"), where, "data")
         try:
             matrices[ref] = DenseMatrix.from_flat(rows, cols, data)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -237,11 +276,11 @@ def node_lipschitz(
     if node.kind == "residual_group":
         return NodeLip(node_id, residual_bound(node.inner_lip), "closed_form")
     if node.kind == "attention":
-        return NodeLip(
-            node_id,
-            attention_bound(node.attention_kind, node.attention_params or {}),
-            "closed_form",
-        )
+        try:
+            lip = attention_bound(node.attention_kind, node.attention_params or {})
+        except (ArithmeticError, InvalidParams) as exc:
+            raise type(exc)(f"node {node_id!r}: {exc}") from None
+        return NodeLip(node_id, lip, "closed_form")
     raise GraphInvalid(f"unhandled node kind {node.kind!r}")
 
 
@@ -391,6 +430,10 @@ def _matrix(value, where, key, matrices):
         if value not in matrices:
             raise InvalidParams(f"{where}: {key!r}: matrix {value!r} not in 'matrices'")
         return matrices[value]
+    if type(value) is list:  # JSON rows, each entry a number
+        for i, row in enumerate(value):
+            if type(row) is list:
+                _numbers(row, where, key, InvalidParams, f"[{i}]")
     try:
         return value if isinstance(value, DenseMatrix) else DenseMatrix(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -489,6 +532,9 @@ def attention_bound(kind: str, params: dict) -> float:
         d = x.shape[1]
         if wq.shape[0] != d or wk.shape[0] != d:
             raise InvalidParams(f"yudin: W_Q/W_K first dimension must match x's width {d}")
+        if wq.shape[1] != wk.shape[1]:
+            raise InvalidParams(f"yudin: 'w_q' and 'w_k' must have the same width, "
+                                f"got {wq.shape[1]} and {wk.shape[1]}")
         a = wq @ wk.T / math.sqrt(d)
         probs = softmax(x @ a @ x.T, axis=1)
         jac_norm = max(
@@ -502,7 +548,10 @@ def attention_bound(kind: str, params: dict) -> float:
         h = float(len(heads))
         inv = phi_inverse(float(n - 1))
         if kind == "kim_l2":
-            head_sum = sum(norm(wq.array) ** 2 * norm(wv.array) ** 2 for wq, wv in heads)
+            try:
+                head_sum = sum(norm(wq.array) ** 2 * norm(wv.array) ** 2 for wq, wv in heads)
+            except OverflowError:  # a Python float power; the check below names it
+                head_sum = math.inf
             bound = (math.sqrt(n) / math.sqrt(d / h) * (4.0 * inv + 1.0)
                      * math.sqrt(head_sum) * norm(p["w_o"].array))
         else:

@@ -27,7 +27,7 @@ from .errors import (
     PlayerCountTooLarge,
 )
 from .fourlip import SpectralSignal, _ring_bins
-from .matcore import _csv_rows, _field_blocks, _write_csv
+from .matcore import _csv_rows, _line_blocks, _loadtxt, _split_fields, _write_csv
 
 MAX_EXACT_PLAYERS = 16
 MAX_MC_PLAYERS = 63  # coalition masks are int64
@@ -258,26 +258,42 @@ def save_game_csv(path, game: CoalitionGame):
         _write_csv(fh, enumerate(game.values.tolist()))
 
 
+_GAME_ROW = np.dtype([("mask", np.int64), ("value", np.float64)])
+
+
+def _game_rows(lines):
+    """The line reader: the rows of ``lines`` converted by ``int`` and
+    ``float``, or None where a row is not an int64 bitmask and a finite value."""
+    _, fields = _split_fields(lines, 2)
+    if fields is None:
+        return None
+    rows = np.empty(len(fields) // 2, _GAME_ROW)
+    try:
+        rows["mask"] = np.fromiter(map(int, fields[0::2]), np.int64, rows.size)
+        rows["value"] = np.fromiter(map(float, fields[1::2]), np.float64, rows.size)
+    except (ValueError, OverflowError):
+        return None
+    return rows if np.isfinite(rows["value"]).all() else None
+
+
 def _read_game(fh, n_players):
     """The game of a table read in blocks, or None where a row is not an
     int64 bitmask and a finite value, or the distinct nonnegative masks are
-    not 0..2^n-1. The O(2^n) arrays are made only once the row count is 2^n."""
-    masks, values = [], []
-    for _, _, _, fields in _field_blocks(fh, width=2):
-        if fields is None:
-            return None
-        n = len(fields) // 2
-        try:
-            masks.append(np.fromiter(map(int, fields[0::2]), np.int64, n))
-            values.append(np.fromiter(map(float, fields[1::2]), np.float64, n))
-        except (ValueError, OverflowError):
-            return None
-        if not np.isfinite(values[-1]).all():
-            return None
-    if not masks:
-        return None
-    masks = np.concatenate(masks)
-    if masks.min() < 0:
+    not 0..2^n-1. Each block goes to numpy's reader, and one it leaves or
+    whose values are not finite to :func:`_game_rows`. The O(2^n) arrays
+    are made only once the row count is 2^n."""
+    blocks = []
+    for _, lines in _line_blocks(fh):
+        rows = _loadtxt(lines, _GAME_ROW, 1)
+        if rows is None or not np.isfinite(rows["value"]).all():
+            rows = _game_rows(lines)
+            if rows is None:
+                return None
+        blocks.append(rows)
+    rows = np.concatenate(blocks) if blocks else np.empty(0, _GAME_ROW)
+    del blocks  # freed before the O(2^n) arrays are made
+    masks = rows["mask"]
+    if not masks.size or masks.min() < 0:
         return None
     if n_players is None:
         n_players = max(int(masks.max()).bit_length(), 1)
@@ -285,7 +301,7 @@ def _read_game(fh, n_players):
     if n_players > MAX_MC_PLAYERS or masks.size != 1 << n_players or masks.max() >= masks.size:
         return None
     table = np.empty(masks.size)
-    table[masks] = np.concatenate(values)
+    table[masks] = rows["value"]
     seen = np.zeros(masks.size, dtype=bool)
     seen[masks] = True
     return CoalitionGame(n_players, table) if seen.all() else None

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lipkit import activations
-from lipkit.cli import build_parser, main
+from lipkit import activations, matcore
+from lipkit.cli import build_parser, load_network_json, main
 from lipkit.matcore import DenseMatrix, load_matrix_csv, save_matrix_csv
 
 
@@ -622,6 +622,20 @@ def _net_with(node):
     }
 
 
+def _with_data(data):
+    """``_net_with`` a linear node on ``w``, whose data is ``data``."""
+    doc = _net_with({"id": "l", "kind": "linear", "weight_ref": "w"})
+    doc["matrices"]["w"]["data"] = data
+    return doc
+
+
+def _with_inline_w_q(w_q):
+    """``_net_with`` a hu_local node whose W_Q is the inline matrix ``w_q``."""
+    params = {"n": 2, "x_norm": 1.0, "w_v": "w", "w_q": w_q, "w_k": "w"}
+    return _net_with({"id": "a", "kind": "attention", "attention_kind": "hu_local",
+                      "params": params})
+
+
 def _signal(tmp_path, name, n):
     path = tmp_path / name
     rows = "\n".join(",".join(["1"] * n) for _ in range(n))
@@ -684,9 +698,17 @@ def test_validation_failure_exits_2(capsys, tmp_path, case):
         (_net_with({"id": "r", "kind": "residual_group", "inner_lip": "x"}), ["node 'r'", "'inner_lip'"]),
         (_net_with({"id": "c", "kind": "scalar_lip", "lip": "x"}), ["node 'c'", "'lip'"]),
         ([{"id": "in", "kind": "input"}], ["network", "'document'"]),
+        (_with_data(["1", "0", True, "1e0"]), ["matrix 'w'", "'data'[0]", "got '1'"]),
+        (_with_data([1, 0, True, 1]), ["matrix 'w'", "'data'[2]", "got True"]),
+        (_with_data([1, None, 0, 1]), ["matrix 'w'", "'data'[1]", "got None"]),
+        (_with_data([[1, 0], [0, 1]]), ["matrix 'w'", "'data'[0]", "got [1, 0]"]),
+        (_with_data([1, 0, 0, 10**400]), ["matrix 'w'", "'data'[3]", "got 1000"]),
+        (_with_inline_w_q([["2", True]]), ["node 'a'", "'w_q'[0][0]", "got '2'"]),
+        (_with_inline_w_q([[2, True]]), ["node 'a'", "'w_q'[0][1]", "got True"]),
     ],
     ids=["node-not-object", "matrix-not-object", "list-weight-ref", "list-id",
-         "string-inner-lip", "string-lip", "top-level-array"],
+         "string-inner-lip", "string-lip", "top-level-array", "data-strings", "data-bool",
+         "data-null", "data-nested", "data-huge-int", "inline-string", "inline-bool"],
 )
 def test_mistyped_network_field_exits_2_naming_it(capsys, tmp_path, doc, names):
     code, out, err = run(capsys, *_network(tmp_path, doc))
@@ -850,19 +872,66 @@ def test_activation_field_it_does_not_read_exits_2(capsys, tmp_path, activation,
 def test_attention_overflow_exits_5_naming_it(capsys, tmp_path, kind, params, op):
     node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
     code, out, err = run(capsys, *_network(tmp_path, _net_with(node)))
-    assert (code, out, err) == (5, "", f"numeric error: overflow encountered in {op}\n")
+    assert (code, out, err) == (5, "", f"numeric error: node 'a': overflow encountered in {op}\n")
 
 
 @pytest.mark.parametrize(
     "kind, params",
     [("kim_l2", {"heads": [[[[1e154]], [[1e154]]]], "w_o": [[1]], "n": 3, "d": 2}),
+     # a head norm whose square alone overflows
+     ("kim_l2", {"heads": [[[[1e200]], [[1]]]], "w_o": [[1]], "n": 3, "d": 2}),
      ("hu_local", {"n": 2, "x_norm": 1.0, "w_v": [[1e200]], "w_q": [[1e200]], "w_k": [[1]]})],
-    ids=["kim_l2", "hu_local"],
+    ids=["kim_l2", "kim_l2-square", "hu_local"],
 )
 def test_attention_bound_overflowing_to_inf_exits_5(capsys, tmp_path, kind, params):
     node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
-    text = f"numeric error: {kind}: the bound is inf: its arithmetic overflowed float64\n"
+    text = f"numeric error: node 'a': {kind}: the bound is inf: its arithmetic overflowed float64\n"
     assert run(capsys, *_network(tmp_path, _net_with(node))) == (5, "", text)
+
+
+def test_network_load_holds_one_matrix_of_python_floats_at_a_time(tmp_path):
+    """Each matrix's data becomes an array as its JSON object closes, so the
+    load peaks below the file text, two matrices' lists of Python floats and
+    the arrays it returns (this bound also covers reading the text, which
+    holds it twice for a moment); holding four lists at once does not fit."""
+    n = 256
+    rng = np.random.default_rng(0)
+    data = {f"w{i}": rng.standard_normal(n * n).tolist() for i in range(4)}
+    doc = {"nodes": [{"id": "in", "kind": "input"}]
+           + [{"id": f"l{i}", "kind": "linear", "weight_ref": f"w{i}"} for i in range(4)],
+           "edges": [["in", "l0"], ["l0", "l1"], ["l1", "l2"], ["l2", "l3"]],
+           "matrices": {ref: {"rows": n, "cols": n, "data": d} for ref, d in data.items()}}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    one_list = json.dumps(data["w0"])
+    del doc, data
+    tracemalloc.start()
+    try:
+        floats = json.loads(one_list)
+        float_list = tracemalloc.get_traced_memory()[0]
+        del floats
+        tracemalloc.reset_peak()
+        g = load_network_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(m.array.nbytes for m in g.matrices.values())
+    bound = path.stat().st_size + 2 * float_list + arrays
+    assert peak < bound, f"tracemalloc peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize(
+    "argv, header, text",
+    [(["svd-deriv", "--k", "1", "--order", "1", "--matrix"], "", "empty matrix file"),
+     (["fourier", "--bound", "--signal"], "# dx=1\n", "no samples"),
+     (["shapley", "--game"], "", "empty game table")],
+    ids=["matrix", "signal", "game"],
+)
+def test_blank_only_table_exits_2_without_a_warning(capsys, tmp_path, argv, header, text):
+    # blank lines alone fill more than one block of the readers
+    path = tmp_path / "in.csv"
+    path.write_text(header + "\n" * (2 * matcore._BLOCK_BYTES + 1))
+    assert run(capsys, *argv, str(path)) == (2, "", f"error: {path}: {text}\n")
 
 
 def test_hessian_of_a_huge_singular_value_names_the_overflow(capsys, tmp_path):

@@ -125,8 +125,9 @@ def load_game_csv_ref(path, n_players=None):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 # whitespace that is no line end to file iteration; all but the no-break
-# space are line ends to str.splitlines()
-ODD = ["\x0c", "\x1c", "\u2028", "\x85", "\x0b", "\xa0"]
+# space and \x1f are line ends to str.splitlines(). numpy's reader takes
+# \x1c-\x1f for whitespace next to a number, float() and int() do not.
+ODD = ["\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\u2028", "\x85", "\x0b", "\xa0"]
 FIELD = (TOKENS | FINITE
          | st.tuples(st.sampled_from(["", " ", "\t", *ODD]), TOKENS | FINITE,
                      st.sampled_from(["", " ", "\t", *ODD])).map("".join))
@@ -134,6 +135,8 @@ HUGE_MASK = st.integers(2**63 - 2, 2**80).map(str) | st.integers(-2**80, -2**63 
 BLANK = st.sampled_from(["", " ", "\t", "  \t ", *ODD])
 NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
 BLOCK_BYTES = st.sampled_from([1, 2, 3, 5, 8, 13, 64, matcore._BLOCK_BYTES])
+# blank lines alone fill more than one block
+BLANKS = "\n" * (2 * matcore._BLOCK_BYTES + 1)
 
 
 @st.composite
@@ -252,6 +255,12 @@ def _outcome(read, text, block_bytes):
 @example("1,2\r3,4\r\n\r\n5,6", 3)
 @example("1,2\n \n3,x\n", 1)
 @example("1,2\n3,1e400\n", 1 << 15)
+@example("1\x1c,2\n", 1 << 15)  # \x1c-\x1f: see ODD
+@example("1,\x1d2\n", 1 << 15)
+@example("1,2\n3\x1e,4\n", 1 << 15)
+@example("1,2\x1f\n", 1 << 15)
+@example(BLANKS, matcore._BLOCK_BYTES)
+@example(BLANKS + "1,2\n" + BLANKS + "3,4\n", matcore._BLOCK_BYTES)
 def test_matrix_reader_matches_line_reader(text, block_bytes):
     assert _outcome(load_matrix_csv, text, block_bytes) == _outcome(load_matrix_csv_ref, text, block_bytes)
 
@@ -260,6 +269,11 @@ def test_matrix_reader_matches_line_reader(text, block_bytes):
 @given(signal_text(), BLOCK_BYTES)
 @example("# dx=1\n1\n\x1c2\n3,4\n", 2)
 @example("# dx=1 dy=1\n1,2\n3,nan\n", 1 << 15)
+@example("# dx=1 dy=1\n1\x1c,2\n", 1 << 15)
+@example("# dx=1\n1\n\x1d2\n", 1 << 15)
+@example("# dx=1\n1\n2\x1e\n", 1 << 15)
+@example("# dx=1 dy=1\n1,\x1f2\n", 1 << 15)
+@example("# dx=1\n" + BLANKS, matcore._BLOCK_BYTES)
 def test_signal_reader_matches_line_reader(text, block_bytes):
     assert _outcome(load_signal_csv, text, block_bytes) == _outcome(load_signal_csv_ref, text, block_bytes)
 
@@ -272,6 +286,12 @@ def test_signal_reader_matches_line_reader(text, block_bytes):
 @example("0,1\n1,2\n9223372036854775808,3\n", 8, None)
 @example("1,1\n\n0,0\n", 1, 1)
 @example("0,0\n1,1\n2,1\n3,2\n", 5, 70)
+@example("0\x1c,1\n1,2\n", 1 << 15, None)
+@example("0,1\n1,\x1d2\n", 1 << 15, None)
+@example("0,1\x1e\n1,2\n", 1 << 15, None)
+@example("0,1\n\x1f1,2\n", 1 << 15, None)
+@example(BLANKS, matcore._BLOCK_BYTES, None)
+@example("0,1\n" + BLANKS + "1,2\n", matcore._BLOCK_BYTES, None)
 def test_game_reader_matches_line_reader(text, block_bytes, players):
     new = _outcome(partial(load_game_csv, n_players=players), text, block_bytes)
     assert new == _outcome(partial(load_game_csv_ref, n_players=players), text, block_bytes)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -591,6 +592,12 @@ class TestAttentionBounds:
         with pytest.raises(InvalidParams, match=f"hu_local: '{key}' must be >= 0, got -"):
             attention_bound("hu_local", params)
 
+    def test_yudin_query_and_key_widths_must_match(self):
+        params = {"w_q": _EYE, "w_k": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "w_v": _EYE, "x": _EYE}
+        with pytest.raises(InvalidParams,
+                           match="^yudin: 'w_q' and 'w_k' must have the same width, got 2 and 3$"):
+            attention_bound("yudin", params)
+
     def test_missing_params(self):
         with pytest.raises(InvalidParams):
             attention_bound("hu_local", {"n": 2})
@@ -609,9 +616,10 @@ class TestAttentionBounds:
         "kind, params",
         [("hu_local", {"n": 2, "x_norm": 1.0, "w_v": [[1e200]], "w_q": [[1e200]], "w_k": [[1.0]]}),
          ("kim_l2", {"heads": [[[[1e154]], [[1e154]]]], "w_o": [[1.0]], "n": 3, "d": 2}),
+         ("kim_l2", {"heads": [[[[1e200]], [[1.0]]]], "w_o": [[1.0]], "n": 3, "d": 2}),
          ("kim_linf", {"heads": [[[[1e200]], [[1.0]]]], "w_o": [[1.0]], "n": 2, "d": 2}),
          ("yudin", {"w_q": _EYE, "w_k": _EYE, "w_v": [[1.7e308]], "x": _EYE})],
-        ids=["hu_local", "kim_l2", "kim_linf", "yudin"],
+        ids=["hu_local", "kim_l2", "kim_l2-square", "kim_linf", "yudin"],
     )
     def test_bound_overflowing_in_float_arithmetic_raises_naming_the_kind(self, kind, params):
         # each overflow happens in Python floats, which np.errstate does not see
@@ -655,6 +663,7 @@ def _refused_attention():
                 yield f"{kind}-heads-{label}", kind, {**valid, "heads": bad}, "heads"
             yield f"{kind}-d-0", kind, {**valid, "d": 0}, "d"
     yield "hu_local-x-and-x_norm", "hu_local", {**_VALID_ATTENTION["hu_local"], "x_norm": 1.0}, "x_norm"
+    yield "yudin-w_k-wider", "yudin", {**_VALID_ATTENTION["yudin"], "w_k": [[1.0, 0.0, 0.0]] * 2}, "w_k"
 
 
 _REFUSED_ATTENTION = list(_refused_attention())
@@ -701,6 +710,19 @@ class TestAttentionParams:
         doc = {"nodes": [{"id": "in", "kind": "input"}, node], "edges": [["in", "a"]]}
         with pytest.raises(InvalidParams, match="^node 'a': attention_kind must be one of"):
             netbounds.graph_from_doc(doc)
+
+    @pytest.mark.parametrize("data, text", [(["1", 0, 0, 1], "'data'[0]"), ([1, 0, False, 1], "'data'[2]")])
+    def test_reader_refuses_matrix_data_that_is_no_number(self, data, text):
+        doc = {"nodes": [{"id": "in", "kind": "input"}],
+               "matrices": {"w": {"rows": 2, "cols": 2, "data": data}}}
+        with pytest.raises(GraphInvalid, match=f"^matrix 'w': {re.escape(text)} must be a finite"):
+            netbounds.graph_from_doc(doc)
+
+    def test_reader_takes_decoded_data_arrays(self):
+        text = '{"nodes": [{"id": "in", "kind": "input"}], "matrices": {"w": {"rows": 2, "cols": 2, "data": [1, 2.5, 0, 1]}}}'
+        doc = json.loads(text, object_hook=netbounds._data_arrays)
+        assert isinstance(doc["matrices"]["w"]["data"], np.ndarray)
+        assert netbounds.graph_from_doc(doc).matrices["w"] == DenseMatrix([[1.0, 0.0], [2.5, 1.0]])
 
     def test_reader_stores_the_typed_parameters(self):
         doc = {
