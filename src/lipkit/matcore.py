@@ -8,6 +8,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -280,17 +281,21 @@ def _line_blocks(fh, start=1):
 
 def _loadtxt(lines, dtype, ndmin):
     """The rows of ``lines`` parsed by numpy's C reader, or None where the
-    line reader must read them: numpy refuses them, they are all blank
-    (numpy would warn of no data), or they hold a character of
-    ``_NUMPY_ONLY_SPACE``. Any field numpy accepts, ``float`` (and ``int``)
-    reads to the same number."""
+    line reader must read them: they hold a character of
+    ``_NUMPY_ONLY_SPACE``, numpy refuses them, or numpy warns. A warning
+    is a refusal: numpy 1.x reads an int field such as ``1.5`` through a
+    float with only a DeprecationWarning, and a blank-only block warns of
+    no data. Any field numpy accepts, ``float`` (and ``int``) reads to the
+    same number."""
     text = "".join(lines)
-    if text.isspace() or any(char in text for char in _NUMPY_ONLY_SPACE):
+    if any(char in text for char in _NUMPY_ONLY_SPACE):
         return None
-    try:
-        return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=ndmin)
-    except ValueError:
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=ndmin)
+        except (ValueError, Warning):
+            return None
 
 
 def _split_fields(lines, width=None):

@@ -157,6 +157,11 @@ def _numbers(values, where, key, error=GraphInvalid, at=""):
     return array
 
 
+def _decoded(data):
+    """Whether ``data`` is an array that :func:`_data_arrays` makes."""
+    return isinstance(data, np.ndarray) and data.dtype == np.float64 and data.ndim == 1
+
+
 def _data_arrays(obj):
     """json ``object_hook``: an object's ``data`` list of numbers becomes a
     float64 array as the object closes, so that while a network file is
@@ -204,8 +209,8 @@ def graph_from_doc(doc) -> NetworkGraph:
             if key not in spec:
                 raise GraphInvalid(f"{where}: missing field {key!r}")
         rows, cols = (_typed(spec[key], int, where, key) for key in ("rows", "cols"))
-        data = spec["data"]  # an array where _data_arrays decoded it
-        if not isinstance(data, np.ndarray):
+        data = spec["data"]
+        if not _decoded(data):
             data = _numbers(_typed(data, list, where, "data"), where, "data")
         try:
             matrices[ref] = DenseMatrix.from_flat(rows, cols, data)
@@ -430,10 +435,10 @@ def _matrix(value, where, key, matrices):
         if value not in matrices:
             raise InvalidParams(f"{where}: {key!r}: matrix {value!r} not in 'matrices'")
         return matrices[value]
-    if type(value) is list:  # JSON rows, each entry a number
-        for i, row in enumerate(value):
-            if type(row) is list:
-                _numbers(row, where, key, InvalidParams, f"[{i}]")
+    if type(value) is list and all(type(row) is list for row in value):
+        # JSON rows, each entry a number; ragged rows fail below
+        value = [_numbers(row, where, key, InvalidParams, f"[{i}]")
+                 for i, row in enumerate(value)]
     try:
         return value if isinstance(value, DenseMatrix) else DenseMatrix(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -325,3 +326,19 @@ def test_game_table_memory_is_bounded(tmp_path):
     assert game.n_players == players and np.array_equal(game.values, expected)
     # the result is 2 MB; a dict of 2^18 Python floats peaks near 27 MB
     assert peak < 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("text", ["0,0\n1.5,0.3\n", "0,0\n1e0,0.3\n"])
+def test_a_block_numpy_reads_with_a_warning_goes_to_the_line_reader(monkeypatch, text):
+    # numpy 1.x reads an int field through a float, truncating it, and only
+    # warns; a warning must send the block to the line reader, which refuses it
+    real = np.loadtxt
+
+    def loadtxt(lines, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated", DeprecationWarning)
+        return real([line.replace("1.5", "1").replace("1e0", "1") for line in lines], *args, **kwargs)
+
+    expected = _outcome(load_game_csv_ref, text, matcore._BLOCK_BYTES)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert _outcome(load_game_csv, text, matcore._BLOCK_BYTES) == expected
+    assert expected[0] is ValueError

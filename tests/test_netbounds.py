@@ -718,6 +718,18 @@ class TestAttentionParams:
         with pytest.raises(GraphInvalid, match=f"^matrix 'w': {re.escape(text)} must be a finite"):
             netbounds.graph_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "data",
+        [np.array(["1", "0", "0", "1"]), np.array([True, False, False, True]),
+         np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 0, 0, 1])],
+        ids=["strings", "bools", "2-D", "ints"],
+    )
+    def test_reader_refuses_an_array_the_decoder_does_not_make(self, data):
+        doc = {"nodes": [{"id": "in", "kind": "input"}],
+               "matrices": {"w": {"rows": 2, "cols": 2, "data": data}}}
+        with pytest.raises(GraphInvalid, match="^matrix 'w': 'data' must be"):
+            netbounds.graph_from_doc(doc)
+
     def test_reader_takes_decoded_data_arrays(self):
         text = '{"nodes": [{"id": "in", "kind": "input"}], "matrices": {"w": {"rows": 2, "cols": 2, "data": [1, 2.5, 0, 1]}}}'
         doc = json.loads(text, object_hook=netbounds._data_arrays)
