@@ -25,7 +25,7 @@ import numpy as np
 
 from . import activations, dynamics, fourlip, netbounds, specgame, svdcalc
 from .errors import LipkitError
-from .matcore import _fmt, _write_csv, full_svd, load_matrix_csv, matrix_csv_lines, vec
+from .matcore import _fmt, _open_text, _write_csv, full_svd, load_matrix_csv, matrix_csv_lines, vec
 
 # stderr prefix for each exit code; the code comes from the error class
 _LABELS = {2: "error", 3: "graph error", 4: "degenerate spectrum", 5: "numeric error"}
@@ -66,7 +66,7 @@ def _open_out(path):
 
 def load_network_json(path) -> netbounds.NetworkGraph:
     try:
-        with open(path) as fh:
+        with _open_text(path) as fh:
             doc = json.load(fh, object_hook=netbounds._data_arrays)
         return netbounds.graph_from_doc(doc)
     except RecursionError:

@@ -7,10 +7,10 @@ across threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -196,7 +196,8 @@ def full_svd(m: DenseMatrix) -> SvdTriple:
 # ---------------------------------------------------------------------------
 # CSV files: one row per line, comma-separated fields, no quoting. Every
 # reader and writer of lipkit goes through this section, which owns the
-# syntax, the 17-digit number format and the error that names a bad line.
+# syntax, the 17-digit number format, the decoding of input files and the
+# error that names a bad line.
 # ---------------------------------------------------------------------------
 
 _FLOAT = "%.17g"  # 17 significant digits: every float reads back as itself
@@ -232,6 +233,17 @@ def save_matrix_csv(path, m: DenseMatrix):
         fh.writelines(matrix_csv_lines(m))
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """``path`` opened for reading as UTF-8 text, whatever the locale; a
+    byte that is not UTF-8 raises a ValueError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 def _csv_rows(lines, start=1):
     """(file line number, comma-separated fields) of every non-blank line;
     ``start`` is the file line number of the first of ``lines``."""
@@ -241,11 +253,14 @@ def _csv_rows(lines, start=1):
             yield lineno, line.split(",")
 
 
-def _raise_row_error(path, lines, start, width):
-    """Raise the error of the first refused number row among ``lines``, the
-    first of which is file line ``start``: a field that is not a number, an
-    entry that is not finite, or a row that is not ``width`` fields wide.
-    Called only on lines that hold such a row."""
+def _line_rows(path, lines, start, width):
+    """The line reader: the rows of ``lines`` (the first of which is file
+    line ``start``) converted by ``float`` one line at a time, as a 2-D
+    array (0 x 0 when all are blank), all of one width (the first row's
+    unless ``width`` is given). Raises at the first refused row, naming its
+    line: a field that is not a number, an entry that is not finite, or a
+    row of another width."""
+    rows = []
     for lineno, fields in _csv_rows(lines, start):
         try:
             row = [float(tok) for tok in fields]
@@ -253,10 +268,13 @@ def _raise_row_error(path, lines, start, width):
             raise ValueError(f"{path}:{lineno}: not a comma-separated number row") from exc
         if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}:{lineno}: entries must be finite")
+        width = width or len(row)
         if len(row) != width:
             raise ValueError(
                 f"{path}:{lineno}: row {lineno} has {len(row)} entries, expected {width}"
             )
+        rows.append(row)
+    return np.array(rows) if rows else np.empty((0, 0))
 
 
 # Characters of whole lines read per block, so memory is O(block + result).
@@ -298,51 +316,18 @@ def _loadtxt(lines, dtype, ndmin):
             return None
 
 
-def _split_fields(lines, width=None):
-    """The row width (the first row's unless given) and the fields of the
-    non-blank rows of ``lines`` in row order, split at once -- None when a
-    row is not ``width`` fields wide."""
-    rows = list(filter(None, map(str.strip, lines)))
-    fields = []
-    if rows:
-        if width is None:
-            width = rows[0].count(",") + 1
-        commas = list(map(str.count, rows, repeat(",")))
-        fields = ",".join(rows).split(",") if commas.count(width - 1) == len(rows) else None
-    return width, fields
-
-
-def _float_rows(path, lines, start, width):
-    """The line reader: the rows of ``lines`` (the first of which is file
-    line ``start``) converted by ``float`` in one pass, as a 2-D array;
-    the error for rows that fail comes from :func:`_raise_row_error`, which
-    names the first bad line."""
-    width, fields = _split_fields(lines, width)
-    if fields == []:
-        return np.empty((0, 0))
-    block = None
-    if fields is not None:
-        try:
-            block = np.fromiter(map(float, fields), np.float64, len(fields))
-        except ValueError:
-            pass
-    if block is None or not np.isfinite(block).all():
-        _raise_row_error(path, lines, start, width)
-    return block.reshape(-1, width)
-
-
 def _read_numbers(path, fh, start=1, width=None) -> np.ndarray:
     """The finite number rows of ``fh`` as a 2-D array (0 x 0 when there is
     none), all of one width (the first row's unless ``width`` is given).
 
     Each block of lines goes to numpy's reader; a block it leaves, or whose
-    rows are not finite or not ``width`` wide, goes to :func:`_float_rows`.
+    rows are not finite or not ``width`` wide, goes to :func:`_line_rows`.
     """
     blocks = []
     for first, lines in _line_blocks(fh, start):
         block = _loadtxt(lines, np.float64, 2)
         if block is None or width not in (None, block.shape[1]) or not np.isfinite(block).all():
-            block = _float_rows(path, lines, first, width)
+            block = _line_rows(path, lines, first, width)
         if block.size:
             width = block.shape[1]
             blocks.append(block)
@@ -350,7 +335,7 @@ def _read_numbers(path, fh, start=1, width=None) -> np.ndarray:
 
 
 def load_matrix_csv(path) -> DenseMatrix:
-    with open(path) as fh:
+    with _open_text(path) as fh:
         data = _read_numbers(path, fh)
     if not data.size:
         raise ValueError(f"{path}: empty matrix file")

@@ -27,7 +27,7 @@ from .errors import (
     PlayerCountTooLarge,
 )
 from .fourlip import SpectralSignal, _ring_bins
-from .matcore import _csv_rows, _line_blocks, _loadtxt, _split_fields, _write_csv
+from .matcore import _csv_rows, _line_blocks, _loadtxt, _open_text, _write_csv
 
 MAX_EXACT_PLAYERS = 16
 MAX_MC_PLAYERS = 63  # coalition masks are int64
@@ -261,34 +261,16 @@ def save_game_csv(path, game: CoalitionGame):
 _GAME_ROW = np.dtype([("mask", np.int64), ("value", np.float64)])
 
 
-def _game_rows(lines):
-    """The line reader: the rows of ``lines`` converted by ``int`` and
-    ``float``, or None where a row is not an int64 bitmask and a finite value."""
-    _, fields = _split_fields(lines, 2)
-    if fields is None:
-        return None
-    rows = np.empty(len(fields) // 2, _GAME_ROW)
-    try:
-        rows["mask"] = np.fromiter(map(int, fields[0::2]), np.int64, rows.size)
-        rows["value"] = np.fromiter(map(float, fields[1::2]), np.float64, rows.size)
-    except (ValueError, OverflowError):
-        return None
-    return rows if np.isfinite(rows["value"]).all() else None
-
-
 def _read_game(fh, n_players):
-    """The game of a table read in blocks, or None where a row is not an
-    int64 bitmask and a finite value, or the distinct nonnegative masks are
-    not 0..2^n-1. Each block goes to numpy's reader, and one it leaves or
-    whose values are not finite to :func:`_game_rows`. The O(2^n) arrays
-    are made only once the row count is 2^n."""
+    """The game of a table read in blocks by numpy's reader, or None at the
+    first block that it leaves or whose values are not finite, or where
+    the distinct nonnegative masks are not 0..2^n-1. The O(2^n) arrays are
+    made only once the row count is 2^n."""
     blocks = []
     for _, lines in _line_blocks(fh):
         rows = _loadtxt(lines, _GAME_ROW, 1)
         if rows is None or not np.isfinite(rows["value"]).all():
-            rows = _game_rows(lines)
-            if rows is None:
-                return None
+            return None
         blocks.append(rows)
     rows = np.concatenate(blocks) if blocks else np.empty(0, _GAME_ROW)
     del blocks  # freed before the O(2^n) arrays are made
@@ -307,13 +289,14 @@ def _read_game(fh, n_players):
     return CoalitionGame(n_players, table) if seen.all() else None
 
 
-def _raise_game_error(path, n_players):
-    """Raise the error of a game table that the bulk path refused: that of
-    its first line that is not ``bitmask,value``, holds a value that is not
-    finite, or repeats a mask or has a negative one; else that of an empty
-    or incomplete table."""
-    seen = set()
-    with open(path) as fh:
+def _game_by_lines(path, n_players):
+    """The line reader: the game of the table at ``path`` read one line at a
+    time by ``int`` and ``float``, in O(rows) Python objects. Raises the
+    error of its first line that is not ``bitmask,value``, holds a value
+    that is not finite, or repeats a mask or has a negative one; else that
+    of an empty or incomplete table."""
+    entries = {}
+    with _open_text(path) as fh:
         for lineno, parts in _csv_rows(fh):
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'bitmask,value'")
@@ -323,32 +306,32 @@ def _raise_game_error(path, n_players):
                 raise ValueError(f"{path}:{lineno}: bad bitmask or value") from exc
             if not math.isfinite(val):
                 raise ValueError(f"{path}:{lineno}: value {parts[1].strip()} is not finite")
-            if mask < 0 or mask in seen:
+            if mask < 0 or mask in entries:
                 raise ValueError(f"{path}:{lineno}: bad or duplicate bitmask {mask}")
-            seen.add(mask)
-    if not seen:
+            entries[mask] = val
+    if not entries:
         raise ValueError(f"{path}: empty game table")
     if n_players is None:
-        n_players = max(max(seen).bit_length(), 1)
+        n_players = max(max(entries).bit_length(), 1)
+    size = len(entries)
+    if n_players <= MAX_MC_PLAYERS and size == 1 << n_players and max(entries) < size:
+        return CoalitionGame(n_players, np.array([entries[mask] for mask in range(size)]))
     # the masks are distinct, so the first four of 0..2^n-1 that are missing
-    # lie below len(seen) + 4; a large n makes no 2^n-sized integer or range
-    stop = len(seen) + 4
+    # lie below size + 4; a large n makes no 2^n-sized integer or range
+    stop = size + 4
     if stop.bit_length() > n_players:
         stop = 1 << n_players
-    missing = [mask for mask in range(stop) if mask not in seen][:4]
+    missing = [mask for mask in range(stop) if mask not in entries][:4]
     raise ValueError(
         f"{path}: table incomplete for {n_players} players (missing masks {missing}...)"
     )
 
 
 def load_game_csv(path, n_players=None) -> CoalitionGame:
-    """Complete game table from ``bitmask,value`` rows, read in bulk; the
-    error for a refused table names its first bad line, as a line-by-line
-    reader would."""
+    """Complete game table from ``bitmask,value`` rows, read in bulk by
+    numpy's reader, else one line at a time by :func:`_game_by_lines`."""
     if n_players is not None and n_players < 1:
         raise ValueError(f"player count must be at least 1, got {n_players}")
-    with open(path) as fh:
+    with _open_text(path) as fh:
         game = _read_game(fh, n_players)
-    if game is None:
-        _raise_game_error(path, n_players)
-    return game
+    return game if game is not None else _game_by_lines(path, n_players)

@@ -426,6 +426,28 @@ class TestFourier:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    HUGE = "# dx=1 dy=1\n1e308,-1e308\n-1e308,1e308\n"  # its spectrum overflows
+
+    @pytest.mark.parametrize(
+        "text, flags, quantity",
+        [
+            (HUGE, ["--bound"], "spectral_bound"),
+            (HUGE, ["--esd", "2"], "esd"),
+            (HUGE, ["--direction", "0.6,0.8", "--t", "0,1"], "directional transform"),
+            (HUGE, ["--band-center", "0,0", "--band-radius", "0.5"], "band removal"),
+            # the spectrum is finite, the norm of the removed part is not
+            ("# dx=0.5 dy=2\n1.3407807929942597e+154\n",
+             ["--band-center", "0,0", "--band-radius", "0.5"], "band removal"),
+        ],
+        ids=["bound", "esd", "direction", "band-spectrum", "band-eps"],
+    )
+    def test_overflow_exits_5_naming_the_quantity(self, capsys, tmp_path, text, flags, quantity):
+        path = tmp_path / "huge.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "fourier", "--signal", str(path), *flags)
+        message = f"numeric error: {quantity}: overflow in its float64 arithmetic\n"
+        assert (code, out, err) == (5, "", message)
+
     def test_one_sample_bound_exits_2(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("# dx=1\n1\n")
@@ -582,6 +604,29 @@ def test_non_finite_entry_exits_2_naming_the_line(capsys, tmp_path, argv, text):
     assert code == 2
     assert out == ""
     assert f"{path}:3: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, valid",
+    [
+        (["svd-deriv", "--k", "1", "--order", "1", "--matrix"], b"1,2\n3,4\n"),
+        (["fourier", "--bound", "--signal"], b"# dx=1\n1\n2\n"),
+        (["shapley", "--game"], b"0,0\n1,1\n"),
+        (["bound", "--net"], b'{"nodes": [{"id": "in", "kind": "input"}], "edges": []}'),
+        (["dynamics", "--matrix", "m.csv", "--cov", "m.csv", "--eta", "0.1", "--grad"],
+         b"1,0\n0,2\n"),
+    ],
+    ids=["matrix", "signal", "game", "network-json", "dynamics-grad"],
+)
+def test_non_utf8_input_exits_2_naming_the_file(capsys, tmp_path, argv, valid):
+    # a byte that is no UTF-8 in a file that is otherwise valid, past its first line
+    cut = valid.index(b"\n" if b"\n" in valid else b",") + 1
+    path = tmp_path / "in.txt"
+    path.write_bytes(valid[:cut] + b"\xff\xfe" + valid[cut:])
+    (tmp_path / "m.csv").write_bytes(b"1,0\n0,2\n")
+    argv = [str(tmp_path / arg) if arg == "m.csv" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text\n")
 
 
 class TestParserContract:

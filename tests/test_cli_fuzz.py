@@ -9,7 +9,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lipkit.cli import main
@@ -115,7 +115,16 @@ SIGNAL_ACTIONS = st.sampled_from([["--bound"], ["--esd", "2"], ["--direction", "
                                                                "--band-radius", "0.5"]])
 
 
+BAND = ["--band-center", "0,0", "--band-radius", "0.5"]
+HUGE = [["1e308", "-1e308"], ["-1e308", "1e308"]]  # the 2-D spectrum overflows
+
+
 @given(HEADERS, ROWS, SIGNAL_ACTIONS)
+@example("# dx=1 dy=1", HUGE, ["--bound"])
+@example("# dx=1 dy=1", HUGE, ["--esd", "2"])
+@example("# dx=1 dy=1", HUGE, ["--direction", "0.6,0.8", "--t", "0,1"])
+@example("# dx=1 dy=1", HUGE, BAND)
+@example("# dx=0.5 dy=2", [["1.3407807929942597e+154"]], BAND)  # eps overflows
 def test_signal_csv(header, rows, action):
     text = header.replace("\n", " ") + "\n" + _csv(rows)
     assert _run("s.csv", text, "fourier", "--signal", "{}", *action) in EXIT_CODES

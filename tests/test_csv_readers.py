@@ -54,7 +54,7 @@ def _number_rows_ref(path, lines, start=1, width=None):
 
 
 def load_matrix_csv_ref(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         rows = _number_rows_ref(path, fh)
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
@@ -62,7 +62,7 @@ def load_matrix_csv_ref(path):
 
 
 def load_signal_csv_ref(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing '# dx=...' header line")
@@ -92,7 +92,7 @@ def load_game_csv_ref(path, n_players=None):
     if n_players is not None and n_players < 1:
         raise ValueError(f"player count must be at least 1, got {n_players}")
     entries = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, parts in _csv_rows_ref(fh):
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'bitmask,value'")
@@ -138,6 +138,12 @@ NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
 BLOCK_BYTES = st.sampled_from([1, 2, 3, 5, 8, 13, 64, matcore._BLOCK_BYTES])
 # blank lines alone fill more than one block
 BLANKS = "\n" * (2 * matcore._BLOCK_BYTES + 1)
+# three blocks or more, of which the middle one alone holds a field that
+# numpy refuses and float() or int() reads, so it alone goes by lines
+LONG_MATRIX = "1,2\n" * 3000 + "1_0,2\n" + "1,2\n" * 3000
+LONG_SIGNAL = "# dx=1\n" + "1\n" * 6000 + "1_0\n" + "1\n" * 6000
+LONG_GAME = "".join([f"{m},{m / 4!r}\n" for m in range(1, 2048)] + ["0_0,0.25\n"]
+                    + [f"{m},{m / 4!r}\n" for m in range(2048, 4096)])
 
 
 @st.composite
@@ -232,7 +238,7 @@ def _outcome(read, text, block_bytes):
     array it returns, or the type and message of what it raises."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "in.csv")
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         with mock.patch.object(matcore, "_BLOCK_BYTES", block_bytes):
             try:
@@ -262,6 +268,9 @@ def _outcome(read, text, block_bytes):
 @example("1,2\x1f\n", 1 << 15)
 @example(BLANKS, matcore._BLOCK_BYTES)
 @example(BLANKS + "1,2\n" + BLANKS + "3,4\n", matcore._BLOCK_BYTES)
+@example("1_0,2\n3,4\n", 1 << 15)  # read by float() alone
+@example("\u0661,2\n", 1 << 15)  # an Arabic-Indic digit one
+@example(LONG_MATRIX, matcore._BLOCK_BYTES)
 def test_matrix_reader_matches_line_reader(text, block_bytes):
     assert _outcome(load_matrix_csv, text, block_bytes) == _outcome(load_matrix_csv_ref, text, block_bytes)
 
@@ -275,6 +284,9 @@ def test_matrix_reader_matches_line_reader(text, block_bytes):
 @example("# dx=1\n1\n2\x1e\n", 1 << 15)
 @example("# dx=1 dy=1\n1,\x1f2\n", 1 << 15)
 @example("# dx=1\n" + BLANKS, matcore._BLOCK_BYTES)
+@example("# dx=1 dy=1\n1_0,2\n3,4\n", 1 << 15)
+@example("# dx=1 dy=1\n\u0661,2\n", 1 << 15)
+@example(LONG_SIGNAL, matcore._BLOCK_BYTES)
 def test_signal_reader_matches_line_reader(text, block_bytes):
     assert _outcome(load_signal_csv, text, block_bytes) == _outcome(load_signal_csv_ref, text, block_bytes)
 
@@ -293,6 +305,9 @@ def test_signal_reader_matches_line_reader(text, block_bytes):
 @example("0,1\n\x1f1,2\n", 1 << 15, None)
 @example(BLANKS, matcore._BLOCK_BYTES, None)
 @example("0,1\n" + BLANKS + "1,2\n", matcore._BLOCK_BYTES, None)
+@example("0_0,1_0\n1,2\n", 1 << 15, None)  # read by int() and float() alone
+@example("\u0661,2\n0,1\n", 1 << 15, None)
+@example(LONG_GAME, matcore._BLOCK_BYTES, None)
 def test_game_reader_matches_line_reader(text, block_bytes, players):
     new = _outcome(partial(load_game_csv, n_players=players), text, block_bytes)
     assert new == _outcome(partial(load_game_csv_ref, n_players=players), text, block_bytes)

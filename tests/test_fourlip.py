@@ -395,6 +395,36 @@ class TestRadialEsdAndSnr:
             radial_esd(sine_1d(), 3)
 
 
+class TestOverflow:
+    """A float64 overflow raises FloatingPointError naming the quantity,
+    where numpy would warn and return inf or NaN."""
+
+    HUGE = SpectralSignal([[1e308, -1e308], [-1e308, 1e308]], (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "compute, name",
+        [
+            (spectral_lipschitz_bound, "spectral_bound"),
+            (grid_gradient_sup, "grid_sup"),
+            (lambda s: radial_esd(s, 2), "esd"),
+            (lambda s: snr(s, s, 2), "esd"),  # the ring energies overflow first
+            (lambda s: directional_transform(s, [0.6, 0.8], [0.0, 1.0]), "directional transform"),
+            (lambda s: band_remove(s, [0.0, 0.0], 0.5), "band removal"),
+        ],
+        ids=["bound", "grid-sup", "esd", "snr", "direction", "band-remove"],
+    )
+    def test_operation_overflow_names_the_quantity(self, compute, name):
+        with pytest.raises(FloatingPointError, match=f"^{name}: overflow in its float64 arithmetic$"):
+            compute(self.HUGE)
+
+    def test_sum_overflowing_without_a_warning_is_caught_in_the_result(self):
+        # each ring power is finite; np.bincount adds them to inf silently
+        rng = np.random.default_rng(0)
+        s = SpectralSignal(3e152 * rng.standard_normal((8, 8)), (1.0, 1.0))
+        with pytest.raises(FloatingPointError, match="^esd: overflow in its float64 arithmetic$"):
+            radial_esd(s, 1)
+
+
 class TestSignalCsv:
     def test_round_trip_1d(self, tmp_path, rng):
         s = SpectralSignal(rng.standard_normal(17), (0.37,))
