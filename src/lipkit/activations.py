@@ -64,7 +64,8 @@ def _elementwise(alpha):
     return {
         "relu": (lambda x: np.maximum(0.0, x), lambda x: np.where(x > 0, 1.0, 0.0), 1.0),
         "leaky_relu": (
-            lambda x: np.maximum(alpha * x, x), lambda x: np.where(alpha * x > x, alpha, 1.0),
+            lambda x: np.maximum(alpha * x, x),  # f' compares by sign: alpha * x can overflow
+            lambda x: np.where(np.sign(alpha - 1.0) * x > 0, alpha, 1.0),
             max(1.0, abs(alpha)),
         ),
         "sigmoid": (expit, lambda x: expit(x) * (1.0 - expit(x)), 0.25),

@@ -184,12 +184,12 @@ def cmd_fourier(args):
         center = _parse_vector(args.band_center, "band-center")
         perturbed, eps = fourlip.band_remove(sig, center, args.band_radius)
         bound = fourlip.band_bound(sig, center, args.band_radius, eps)
-        sup = float(np.max(np.abs(sig.samples - perturbed.samples)))
+        sup, ratio = fourlip.band_ratio(sig, perturbed, bound)
         lines.append(f"eps = {_fmt(eps)}")
         lines.append(f"band_bound = {_fmt(bound)}")
         lines.append(f"sup_diff = {_fmt(sup)}")
-        if bound > 0:
-            lines.append(f"ratio = {_fmt(sup / bound)}")
+        if ratio is not None:
+            lines.append(f"ratio = {_fmt(ratio)}")
     if args.esd is not None:
         if args.snr:
             noise = fourlip.load_signal_csv(args.snr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import CallbackFailure, NotPSD
+from .errors import CallbackFailure, NotPSD, overflow_raises
 from .matcore import DenseMatrix, SvdTriple, full_svd, vec
 from .svdcalc import _require_simple, sv_hessian_apply, sv_hessian_contract, sv_jacobian
 
@@ -23,6 +23,7 @@ from .svdcalc import _require_simple, sv_hessian_apply, sv_hessian_contract, sv_
 _PSD_FLOOR = -1e-10
 
 
+@overflow_raises("covariance root", result=None)  # the mn x mn root is not scanned
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; eigenvalues in [_PSD_FLOOR, 0) are clipped."""
     sym_defect = float(np.max(np.abs(cov - cov.T)))
@@ -117,6 +118,7 @@ class DrivingForces:
     lam: np.ndarray
 
 
+@overflow_raises("driving forces", result=lambda f: (f.mu, f.kappa, np.linalg.norm(f.lam)))
 def driving_forces(state: LayerDynamicsState) -> DrivingForces:
     """Decomposition of d sigma_1 / sigma_1:
 
@@ -164,6 +166,7 @@ def check_simulation(dt: float, steps: int, seed: int = 0, store_every: int = 1)
     _stream(seed)  # Philox refuses a key outside [0, 2**128)
 
 
+@overflow_raises("trajectory", result=None)  # DenseMatrix refuses a non-finite state
 def euler_maruyama(
     state: LayerDynamicsState,
     dt: float,

@@ -1,9 +1,40 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its float64 overflow guard.
 
 Each class carries the command-line exit code for its failure (PAPER.md):
 2 parse/validation (``InvalidInput`` and its subclasses), 3 graph
 structure, 4 degenerate spectrum, 5 other numeric failure (the default).
 """
+
+import functools
+
+import numpy as np
+
+
+def overflow_raises(quantity, result=lambda out: out):
+    """Decorate the function that computes ``quantity``: an array operation
+    in it that overflows float64 or yields NaN, a Python float OverflowError
+    (``x ** 2``) and a ``result(out)`` (None: no check) that is not finite
+    raise FloatingPointError naming the quantity (exit 5 in the CLI) where
+    numpy would warn and go on with inf or NaN. Nested, the inner name wins."""
+
+    def fail(kind, _flag=None):
+        raise FloatingPointError(f"{quantity}: {kind} in its float64 arithmetic") from None
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            with np.errstate(over="call", invalid="call", call=fail):
+                try:
+                    out = fn(*args, **kwargs)
+                except OverflowError:
+                    fail("overflow")
+                if result is not None and not np.isfinite(result(out)).all():
+                    fail("overflow")  # one that numpy did not flag
+            return out
+
+        return checked
+
+    return decorate
 
 
 class LipkitError(Exception):

@@ -15,35 +15,11 @@ import warnings
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyBand, GridMismatch, NotUnit
+from .errors import EmptyBand, GridMismatch, NotUnit, overflow_raises
 from .matcore import _fmt, _open_text, _read_numbers, _write_csv
 
 BAND_VALIDITY_DELTA = 1.0 / np.sqrt(np.pi)  # ~0.5642, small-ball validity threshold
 _IMAG_TOL = 1e-10  # largest imaginary residue of with_spectrum, relative to the samples
-
-
-def _overflow_raises(quantity, result=lambda out: out):
-    """Decorate the function that computes ``quantity``: an array operation
-    in it that overflows float64 or yields NaN, and a ``result(out)`` that
-    is not finite, raise FloatingPointError naming the quantity (exit 5 in
-    the CLI) where numpy would warn and go on with inf or NaN. Inside
-    another decorated function, the inner name is the one raised."""
-
-    def fail(kind, _flag=None):
-        raise FloatingPointError(f"{quantity}: {kind} in its float64 arithmetic")
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def checked(*args, **kwargs):
-            with np.errstate(over="call", invalid="call", call=fail):
-                out = fn(*args, **kwargs)
-            if not np.isfinite(result(out)).all():
-                fail("overflow")  # one that numpy did not flag
-            return out
-
-        return checked
-
-    return decorate
 
 
 class SpectralSignal:
@@ -144,14 +120,14 @@ def spectral_contribution(s: SpectralSignal) -> np.ndarray:
     return 2.0 * np.pi * s.freq_norm_grid() * np.abs(s.spectrum) * s.cell_volume()
 
 
-@_overflow_raises("spectral_bound")
+@overflow_raises("spectral_bound")
 def spectral_lipschitz_bound(s: SpectralSignal) -> float:
     """Riemann sum of the per-frequency contributions; an upper bound for
     sup ||grad f|| when the samples resolve the signal."""
     return float(np.sum(spectral_contribution(s)) * s.freq_cell())
 
 
-@_overflow_raises("grid_sup")
+@overflow_raises("grid_sup")
 def grid_gradient_sup(s: SpectralSignal) -> float:
     """sup of ||grad f||_2 measured by central differences on the grid;
     refuses a grid with fewer than 2 samples along an axis."""
@@ -161,7 +137,7 @@ def grid_gradient_sup(s: SpectralSignal) -> float:
     return float(np.max(functools.reduce(np.hypot, grads, 0.0)))
 
 
-@_overflow_raises("directional transform")
+@overflow_raises("directional transform")
 def directional_transform(s: SpectralSignal, direction, t_grid) -> np.ndarray:
     """Transform values along the frequency line t * direction, by direct
     summation of f(x) exp(-2*pi*i*t*<direction, x>) times the cell volume.
@@ -202,7 +178,7 @@ def _ball_mask(s: SpectralSignal, center, radius):
     return functools.reduce(np.hypot, (f - c for f, c in zip(grids, center)), 0.0) <= radius
 
 
-@_overflow_raises("band removal", result=lambda out: out[1])
+@overflow_raises("band removal", result=lambda out: out[1])
 def band_remove(s: SpectralSignal, center, radius: float):
     """Zero every bin in the frequency ball and its conjugate mirror (so
     the signal stays real); returns (perturbed signal, eps) where eps is
@@ -214,7 +190,7 @@ def band_remove(s: SpectralSignal, center, radius: float):
     return perturbed, eps
 
 
-@_overflow_raises("band_bound")
+@overflow_raises("band_bound")
 def band_bound(s: SpectralSignal, center, radius: float, eps: float) -> float:
     """M_delta * eps * sqrt(mu(ball)) with M_delta the max per-bin
     contribution over the ball and mu the analytic ball measure
@@ -235,6 +211,13 @@ def band_bound(s: SpectralSignal, center, radius: float, eps: float) -> float:
     return mi_gap_bound(m_delta, eps, measure)
 
 
+@overflow_raises("band ratio", result=lambda out: out[0] if out[1] is None else out)
+def band_ratio(s: SpectralSignal, perturbed: SpectralSignal, bound: float):
+    """(sup |s - perturbed|, its ratio to ``bound`` or None for a 0 bound)."""
+    sup = float(np.max(np.abs(s.samples - perturbed.samples)))
+    return sup, (sup / bound if bound > 0 else None)
+
+
 def mi_gap_bound(m_delta: float, eps: float, ball_measure: float) -> float:
     """Bound on the classifier information gap from removing the band."""
     if m_delta < 0 or eps < 0 or ball_measure < 0:
@@ -251,7 +234,7 @@ def _ring_bins(dist, n: int):
     return np.minimum((dist / d_max * n).astype(np.int64), n - 1)
 
 
-@_overflow_raises("esd")
+@overflow_raises("esd")
 def radial_esd(s: SpectralSignal, n_rings: int) -> np.ndarray:
     """Mean |DFT|^2 per radial-frequency ring; rings partition [0, zeta_max]
     uniformly in the l2 radial metric. Empty rings report 0."""
@@ -269,7 +252,7 @@ def radial_esd(s: SpectralSignal, n_rings: int) -> np.ndarray:
     return out
 
 
-@_overflow_raises("snr", result=lambda out: out[out != np.inf])  # +inf: a silent noise ring
+@overflow_raises("snr", result=lambda out: out[out != np.inf])  # +inf: a silent noise ring
 def snr(clean: SpectralSignal, noise: SpectralSignal, n_rings: int) -> np.ndarray:
     """Ring-wise ratio of clean to noise energy; +inf where the noise ring
     holds no energy."""
@@ -277,11 +260,15 @@ def snr(clean: SpectralSignal, noise: SpectralSignal, n_rings: int) -> np.ndarra
         raise GridMismatch(
             f"grids differ: {clean.grid}/{clean.spacing} vs {noise.grid}/{noise.spacing}"
         )
-    esd_c = radial_esd(clean, n_rings)
-    esd_n = radial_esd(noise, n_rings)
+    esd = {}
+    for name, s in (("signal", clean), ("noise", noise)):
+        try:
+            esd[name] = radial_esd(s, n_rings)
+        except FloatingPointError as exc:  # say which input's ring energies overflowed
+            raise FloatingPointError(f"{name} {exc}") from None
     out = np.full(n_rings, np.inf)
-    nonzero = esd_n > 0
-    out[nonzero] = esd_c[nonzero] / esd_n[nonzero]
+    nonzero = esd["noise"] > 0
+    out[nonzero] = esd["signal"][nonzero] / esd["noise"][nonzero]
     return out
 
 

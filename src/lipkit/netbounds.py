@@ -37,6 +37,7 @@ from .errors import (
     NonBracketable,
     NotAPath,
     UnknownNode,
+    overflow_raises,
 )
 from .matcore import DenseMatrix
 from .specest import power_iteration
@@ -501,7 +502,6 @@ def _attention_params(kind, params, where=None, matrices=()):
     return typed
 
 
-@np.errstate(over="raise", invalid="raise")
 def attention_bound(kind: str, params: dict) -> float:
     """Closed-form Lipschitz bounds for dot-product self-attention.
 
@@ -513,13 +513,15 @@ def attention_bound(kind: str, params: dict) -> float:
       kim_linf  -- global inf-norm variant of the same;
       yudin     -- single-head bound through the row-wise softmax Jacobian.
 
-    Sequence matrices x are measured in the Frobenius norm. An array
-    operation on the parameters that overflows or yields NaN, and a bound
-    that is not finite, raise FloatingPointError (exit 5 in the CLI) rather
-    than warning or returning inf.
+    Sequence matrices x are measured in the Frobenius norm. Arithmetic that
+    overflows float64 raises FloatingPointError naming the kind (exit 5 in
+    the CLI) rather than warning or returning inf.
     """
     p = _attention_params(kind, params)
+    return overflow_raises(kind)(_attention_value)(kind, p)
 
+
+def _attention_value(kind: str, p: dict) -> float:
     def norm(array, order=2):
         return float(np.linalg.norm(array, order))
 
@@ -527,12 +529,8 @@ def attention_bound(kind: str, params: dict) -> float:
         n = p["n"]
         x_norm = p["x_norm"] if "x_norm" in p else float(np.linalg.norm(p["x"].array))
         wv, wq, wk = (norm(p[key].array) for key in ("w_v", "w_q", "w_k"))
-        radius = x_norm + p["delta"]
-        if math.isinf(radius * radius):
-            raise OverflowError(
-                f"{kind}: x_norm + delta = {radius!r}: its square overflows float64")
-        bound = n * (n + 1) * radius**2 * (wv * wq * wk + wv)
-    elif kind == "yudin":
+        return n * (n + 1) * (x_norm + p["delta"]) ** 2 * (wv * wq * wk + wv)
+    if kind == "yudin":
         x, wq, wk = (p[key].array for key in ("x", "w_q", "w_k"))
         d = x.shape[1]
         if wq.shape[0] != d or wk.shape[0] != d:
@@ -545,27 +543,19 @@ def attention_bound(kind: str, params: dict) -> float:
         jac_norm = max(
             norm(softmax_jacobian(np.ascontiguousarray(row)).array) for row in probs
         )
-        bound = norm(p["w_v"].array) * (
+        return norm(p["w_v"].array) * (
             norm(probs) + 2.0 * float(np.linalg.norm(x)) ** 2 * norm(a) * jac_norm
         )
-    else:
-        heads, n, d = p["heads"], p["n"], p["d"]
-        h = float(len(heads))
-        inv = phi_inverse(float(n - 1))
-        if kind == "kim_l2":
-            try:
-                head_sum = sum(norm(wq.array) ** 2 * norm(wv.array) ** 2 for wq, wv in heads)
-            except OverflowError:  # a Python float power; the check below names it
-                head_sum = math.inf
-            bound = (math.sqrt(n) / math.sqrt(d / h) * (4.0 * inv + 1.0)
-                     * math.sqrt(head_sum) * norm(p["w_o"].array))
-        else:
-            q_term = max(norm(wq.array, np.inf) * norm(wq.array.T, np.inf) for wq, _ in heads)
-            v_term = max(norm(wv.array.T, np.inf) for _, wv in heads)
-            bound = (4.0 * inv + 1.0 / (d / h)) * norm(p["w_o"].array.T, np.inf) * q_term * v_term
-    if not math.isfinite(bound):
-        raise FloatingPointError(f"{kind}: the bound is {bound}: its arithmetic overflowed float64")
-    return bound
+    heads, n, d = p["heads"], p["n"], p["d"]
+    h = float(len(heads))
+    inv = phi_inverse(float(n - 1))
+    if kind == "kim_l2":
+        head_sum = sum(norm(wq.array) ** 2 * norm(wv.array) ** 2 for wq, wv in heads)
+        return (math.sqrt(n) / math.sqrt(d / h) * (4.0 * inv + 1.0)
+                * math.sqrt(head_sum) * norm(p["w_o"].array))
+    q_term = max(norm(wq.array, np.inf) * norm(wq.array.T, np.inf) for wq, _ in heads)
+    v_term = max(norm(wv.array.T, np.inf) for _, wv in heads)
+    return (4.0 * inv + 1.0 / (d / h)) * norm(p["w_o"].array.T, np.inf) * q_term * v_term
 
 
 def seqlip_pair_factor(u1, v1, r_l: float, r_next: float) -> float:

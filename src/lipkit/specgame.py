@@ -25,6 +25,7 @@ from .errors import (
     LipkitError,
     NegativeShapley,
     PlayerCountTooLarge,
+    overflow_raises,
 )
 from .fourlip import SpectralSignal, _ring_bins
 from .matcore import _csv_rows, _line_blocks, _loadtxt, _open_text, _write_csv
@@ -108,6 +109,7 @@ def _popcounts(n_masks):
     return pc
 
 
+@overflow_raises("psi")
 def shapley_exact(game: CoalitionGame) -> np.ndarray:
     """psi_i = sum over coalitions S without i of
     |S|! (M-1-|S|)! / M! * (v(S + i) - v(S)); efficiency is checked."""
@@ -124,6 +126,7 @@ def shapley_exact(game: CoalitionGame) -> np.ndarray:
     return psi
 
 
+@overflow_raises("psi", result=lambda out: out[0])  # err_bound is inf at one permutation
 def shapley_mc(value_fn, n_players: int, n_perms: int, seed: int = 0):
     """Permutation-sampling estimate of the Shapley values.
 

@@ -10,12 +10,12 @@ All singular-value indices k are 1-based: sigma(1) is the largest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NonConvergence, OrderOverflow, ZeroSingular
+from .errors import (DegenerateSpectrum, NonConvergence, OrderOverflow, ZeroSingular,
+                     overflow_raises)
 from .matcore import DenseMatrix, SvdTriple, _numerical_rank, full_svd
 
 GAP_TOL_REL = 1e-8
@@ -64,6 +64,7 @@ def check_hessian_budget(rows: int, cols: int):
         )
 
 
+@overflow_raises("Hessian", result=np.concatenate)
 def _hessian_weights(svd: SvdTriple, k: int):
     """Weights of the three-part Kronecker form of the Hessian of sigma_k.
 
@@ -88,9 +89,6 @@ def _hessian_weights(svd: SvdTriple, k: int):
             f"nonzero singular values within {svd.min_gap:.3e} (tol {tol:.3e})",
             gap=svd.min_gap,
         )
-    top = float(svd.singulars[0])
-    if math.isinf(top * top):
-        raise OverflowError(f"singular value {top!r}: its square overflows float64")
     s = np.zeros(max(m, n))
     s[:r] = svd.singulars[:r]
     den = sk**2 - s**2

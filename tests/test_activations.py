@@ -92,6 +92,14 @@ class TestTable:
         fd = (fn(xs + step) - fn(xs - step)) / (2 * step)
         assert np.max(np.abs(fd - derivative(xs))) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [1e308, -1e308, 2.0, 1.0, 0.3])
+    def test_leaky_relu_derivative_forms_no_product(self, alpha):
+        # alpha * x overflows at alpha = 1e308; Python floats do not warn on it
+        xs = np.array([-20.0, -1e-300, 0.0, 1e-300, 20.0])
+        with np.errstate(all="raise"):
+            got = _elementwise(alpha)["leaky_relu"][1](xs)
+        assert got.tolist() == [alpha if alpha * x > x else 1.0 for x in xs.tolist()]
+
 
 class TestSpec:
     def test_spec_is_a_plain_value(self):

@@ -15,6 +15,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# the one wording of a float64 overflow, after the quantity it names
+_OVERFLOW = "%s: overflow in its float64 arithmetic"
+
+
 @pytest.fixture
 def chain_net(tmp_path):
     net = {
@@ -256,6 +260,11 @@ class TestActivation:
         assert code == 0
         assert "attained=False" in out
 
+    def test_huge_leaky_relu_slope_prints_no_warning(self, capsys):
+        expect = "leaky_relu 1e+308\nnumeric 1e+308 attained=True\n"
+        assert run(capsys, "activation", "--name", "leaky_relu", "--alpha", "1e308",
+                   "--numeric") == (0, expect, "")
+
     def test_unknown_activation(self, capsys):
         code, _, err = run(capsys, "activation", "--name", "selu")
         assert code == 2
@@ -447,6 +456,15 @@ class TestFourier:
         code, out, err = run(capsys, "fourier", "--signal", str(path), *flags)
         message = f"numeric error: {quantity}: overflow in its float64 arithmetic\n"
         assert (code, out, err) == (5, "", message)
+
+    @pytest.mark.parametrize("huge", ["signal", "noise"])
+    def test_snr_overflow_names_the_input(self, capsys, tmp_path, huge):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("signal", "noise")}
+        for name, path in paths.items():
+            path.write_text(self.HUGE if name == huge else "# dx=1 dy=1\n1,-1\n-1,1\n")
+        code, out, err = run(capsys, "fourier", "--signal", str(paths["signal"]),
+                             "--esd", "2", "--snr", str(paths["noise"]))
+        assert (code, out, err) == (5, "", f"numeric error: {_OVERFLOW % (huge + ' esd')}\n")
 
     def test_one_sample_bound_exits_2(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
@@ -908,16 +926,15 @@ def test_activation_field_it_does_not_read_exits_2(capsys, tmp_path, activation,
 
 
 @pytest.mark.parametrize(
-    "kind, params, op",
-    [("hu_local", {"n": 2, "x": [[1e200, 1e200]], "w_v": "w", "w_q": "w", "w_k": "w"}, "dot"),
-     ("kim_linf", {"heads": [["w", "w"]], "w_o": [[1e308, 1e308], [1e308, 1e308]], "n": 2, "d": 2},
-      "reduce")],
+    "kind, params",
+    [("hu_local", {"n": 2, "x": [[1e200, 1e200]], "w_v": "w", "w_q": "w", "w_k": "w"}),
+     ("kim_linf", {"heads": [["w", "w"]], "w_o": [[1e308, 1e308], [1e308, 1e308]], "n": 2, "d": 2})],
     ids=["hu_local-frobenius-norm", "kim_linf-row-sum"],
 )
-def test_attention_overflow_exits_5_naming_it(capsys, tmp_path, kind, params, op):
+def test_attention_overflow_exits_5_naming_it(capsys, tmp_path, kind, params):
     node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
     code, out, err = run(capsys, *_network(tmp_path, _net_with(node)))
-    assert (code, out, err) == (5, "", f"numeric error: node 'a': overflow encountered in {op}\n")
+    assert (code, out, err) == (5, "", f"numeric error: node 'a': {_OVERFLOW % kind}\n")
 
 
 @pytest.mark.parametrize(
@@ -930,7 +947,7 @@ def test_attention_overflow_exits_5_naming_it(capsys, tmp_path, kind, params, op
 )
 def test_attention_bound_overflowing_to_inf_exits_5(capsys, tmp_path, kind, params):
     node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
-    text = f"numeric error: node 'a': {kind}: the bound is inf: its arithmetic overflowed float64\n"
+    text = f"numeric error: node 'a': {_OVERFLOW % kind}\n"
     assert run(capsys, *_network(tmp_path, _net_with(node))) == (5, "", text)
 
 
@@ -985,7 +1002,50 @@ def test_hessian_of_a_huge_singular_value_names_the_overflow(capsys, tmp_path):
     code, out, err = run(capsys, "svd-deriv", "--matrix", str(path), "--k", "1", "--order", "2")
     assert code == 5
     assert out == ""
-    assert err == "numeric error: singular value 1e+200: its square overflows float64\n"
+    assert err == f"numeric error: {_OVERFLOW % 'Hessian'}\n"
+
+
+def _attention_net(kind, params):
+    node = {"id": "a", "kind": "attention", "attention_kind": kind, "params": params}
+    return json.dumps(_net_with(node))
+
+
+_KIM = {"heads": [[[[1e200]], [[1e200]]]], "w_o": [[1e200]], "n": 3, "d": 2}
+_LAYER = {"m.csv": "1,1\n1,0.5\n", "c.csv": "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"}
+_DYNAMICS = ["dynamics", "--matrix", "m.csv", "--grad", "g.csv", "--cov", "c.csv"]
+_GAME = {"game.csv": "0,0\n1,1e308\n2,1e308\n3,-1e308\n"}
+
+
+@pytest.mark.parametrize(
+    "files, argv, quantity",
+    [({"m.csv": "1e200,0\n0,1\n"},
+      ["svd-deriv", "--matrix", "m.csv", "--k", "1", "--order", "2", "--out", "h.csv"], "Hessian"),
+     *(({"net.json": _attention_net(kind, _KIM)}, ["bound", "--net", "net.json", "--out", "n.csv"],
+        f"node 'a': {kind}") for kind in ("kim_l2", "kim_linf")),
+     ({"net.json": _attention_net("hu_local", {"n": 2, "x_norm": 1e200, "w_v": "w", "w_q": "w",
+                                               "w_k": "w"})},
+      ["bound", "--net", "net.json"], "node 'a': hu_local"),
+     ({"net.json": _attention_net("yudin", {"x": [[1e200, 1]], "w_q": "w", "w_k": "w", "w_v": "w"})},
+      ["bound", "--net", "net.json"], "node 'a': yudin"),
+     ({**_LAYER, "g.csv": "1e308,1e308\n1e308,1e308\n"}, [*_DYNAMICS, "--eta", "0.1"],
+      "driving forces"),
+     ({**_LAYER, "g.csv": "0,0\n0,0\n", "c.csv": _LAYER["c.csv"].replace("1", "1e308")},
+      [*_DYNAMICS, "--eta", "1e10"], "covariance root"),
+     ({**_LAYER, "m.csv": "2,0\n0,1\n", "g.csv": "1e308,0\n0,0\n"},
+      [*_DYNAMICS, "--eta", "0.1", "--dt", "10", "--steps", "3", "--traj-out", "t.csv"],
+      "trajectory"),
+     (_GAME, ["shapley", "--game", "game.csv", "--out", "psi.csv"], "psi"),
+     (_GAME, ["shapley", "--game", "game.csv", "--mc-perms", "10", "--out", "psi.csv"], "psi")],
+    ids=["svd-deriv", "kim_l2", "kim_linf", "hu_local", "yudin", "dynamics-drift",
+         "dynamics-covariance", "dynamics-trajectory", "shapley", "shapley-mc"],
+)
+def test_overflow_exits_5_in_one_wording(capsys, tmp_path, monkeypatch, files, argv, quantity):
+    # nothing on stdout, no warning line and no output file
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(capsys, *argv) == (5, "", f"numeric error: {_OVERFLOW % quantity}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
 def test_huge_game_mask_exits_2_without_building_the_mask_set(capsys, tmp_path):

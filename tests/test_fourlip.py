@@ -6,6 +6,7 @@ from lipkit.errors import EmptyBand, GridMismatch, NotUnit
 from lipkit.fourlip import (
     SpectralSignal,
     band_bound,
+    band_ratio,
     band_remove,
     directional_transform,
     grid_gradient_sup,
@@ -395,11 +396,31 @@ class TestRadialEsdAndSnr:
             radial_esd(sine_1d(), 3)
 
 
+class TestBandRatio:
+    def test_sup_diff_and_its_ratio_to_the_bound(self):
+        s = gaussian_2d(n=32)
+        pert, eps = band_remove(s, [0.5, 0.0], 0.2)
+        bound = band_bound(s, [0.5, 0.0], 0.2, eps)
+        sup = float(np.max(np.abs(s.samples - pert.samples)))
+        assert band_ratio(s, pert, bound) == (sup, sup / bound)
+
+    def test_zero_bound_has_no_ratio(self):
+        s = gaussian_2d(n=32)
+        assert band_ratio(s, s, 0.0) == (0.0, None)
+
+    def test_ratio_overflowing_names_it(self):
+        s = gaussian_2d(n=32)
+        pert, _ = band_remove(s, [0.5, 0.0], 0.2)
+        with pytest.raises(FloatingPointError, match="^band ratio: overflow in its float64 arithmetic$"):
+            band_ratio(s, pert, 5e-324)
+
+
 class TestOverflow:
     """A float64 overflow raises FloatingPointError naming the quantity,
     where numpy would warn and return inf or NaN."""
 
     HUGE = SpectralSignal([[1e308, -1e308], [-1e308, 1e308]], (1.0, 1.0))
+    TINY = SpectralSignal([[1.0, -1.0], [-1.0, 1.0]], (1.0, 1.0))
 
     @pytest.mark.parametrize(
         "compute, name",
@@ -407,11 +428,13 @@ class TestOverflow:
             (spectral_lipschitz_bound, "spectral_bound"),
             (grid_gradient_sup, "grid_sup"),
             (lambda s: radial_esd(s, 2), "esd"),
-            (lambda s: snr(s, s, 2), "esd"),  # the ring energies overflow first
+            # the ring energies overflow first, and snr names whose they are
+            (lambda s: snr(s, TestOverflow.TINY, 2), "signal esd"),
+            (lambda s: snr(TestOverflow.TINY, s, 2), "noise esd"),
             (lambda s: directional_transform(s, [0.6, 0.8], [0.0, 1.0]), "directional transform"),
             (lambda s: band_remove(s, [0.0, 0.0], 0.5), "band removal"),
         ],
-        ids=["bound", "grid-sup", "esd", "snr", "direction", "band-remove"],
+        ids=["bound", "grid-sup", "esd", "snr-signal", "snr-noise", "direction", "band-remove"],
     )
     def test_operation_overflow_names_the_quantity(self, compute, name):
         with pytest.raises(FloatingPointError, match=f"^{name}: overflow in its float64 arithmetic$"):
