@@ -44,7 +44,6 @@ from .netbounds import (
     node_lipschitz,
     product_bound,
     residual_bound,
-    seqlip_pair_factor,
 )
 from .fourlip import (
     SpectralSignal,

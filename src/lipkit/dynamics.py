@@ -102,6 +102,7 @@ class NetworkDynamics:
         return float(sum(math.log(layer.sigma1) for layer in self.layers))
 
     @property
+    @overflow_raises("bound")
     def bound(self) -> float:
         return math.exp(self.log_bound)
 
@@ -209,6 +210,7 @@ def euler_maruyama(
     return [DenseMatrix.from_flat(m, n, x) for x in kept]
 
 
+@overflow_raises("trajectory")
 def simulate_ensemble(
     state: LayerDynamicsState, dt: float, steps: int, n_paths: int, seed: int = 0
 ) -> np.ndarray:

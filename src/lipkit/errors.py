@@ -113,10 +113,6 @@ class NonBracketable(InvalidInput):
     """Root of x*exp(x+1) = y requested for y < 0."""
 
 
-class LengthMismatch(InvalidInput):
-    """Paired vectors have different lengths."""
-
-
 class CallbackFailure(LipkitError):
     """A user-supplied callback raised; original exception attached as __cause__."""
 

@@ -2,11 +2,11 @@
 
 A graph of typed nodes (linear / activation / residual / attention / plain
 constants) with a unique source and sink supports: per-node constants, the
-product bound along a chain, the path-sum bound computed by dynamic
-programming in topological order, and the same path-sum bound factored
-across articulation points. Companion closed forms cover residual modules,
-addition/concatenation algebra, attention bounds, pairwise spectral
-alignment refinement, and margin-based certified radii.
+product bound of a chain graph, and the path-sum bound computed by one
+dynamic-programming pass in topological order, whole or factored across
+articulation points. Companion closed forms cover residual modules,
+addition/concatenation algebra, attention bounds and margin-based
+certified radii.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     CycleDetected,
     GraphInvalid,
     InvalidParams,
-    LengthMismatch,
     NonBracketable,
     NotAPath,
     UnknownNode,
@@ -104,8 +103,6 @@ class NetworkGraph:
             raise GraphInvalid(f"expected the unique out-degree-0 node to be the sink, got {sinks}")
         self.source = sources[0]
         self.sink = sinks[0]
-        if not nx.has_path(g, self.source, self.sink):
-            raise GraphInvalid("sink not reachable from source")
         for n in nodes:
             if n.kind == "linear" and n.weight_ref not in self.matrices:
                 raise GraphInvalid(f"node {n.id!r}: weight_ref {n.weight_ref!r} unresolved")
@@ -315,7 +312,9 @@ def _not_nan(bound: float) -> float:
 
 
 def product_bound(chain, g: NetworkGraph, lips=None) -> float:
-    """Product of node constants along a directed path of the graph."""
+    """Product of node constants along ``chain``, a directed path that is
+    the whole graph. Any other edge (a skip edge, a branch) adds paths the
+    product does not bound, and raises NotAPath naming it."""
     chain = list(chain)
     if not chain:
         raise NotAPath("empty chain")
@@ -324,32 +323,18 @@ def product_bound(chain, g: NetworkGraph, lips=None) -> float:
     for u, v in zip(chain, chain[1:]):
         if not g.digraph.has_edge(u, v):
             raise NotAPath(f"missing edge ({u!r} -> {v!r})")
+    links = set(zip(chain, chain[1:]))
+    for u, v in g.digraph.edges:
+        if (u, v) not in links:
+            raise NotAPath(f"edge ({u!r} -> {v!r}) does not join consecutive chain nodes")
     lips = lips or all_node_lips(g)
-    out = 1.0
-    for nid in chain:
-        out *= lips[nid].lip
-    return _not_nan(out)
+    return _not_nan(math.prod(lips[nid].lip for nid in chain))
 
 
 @dataclass(frozen=True)
 class DagBound:
     bound: float
     per_node_s: dict
-
-
-def dag_bound(g: NetworkGraph, lips=None) -> DagBound:
-    """Path-sum bound via S(v) dynamic programming in topological order.
-
-    S(source) = Lip[h_source] and S(v) = Lip[h_v] * sum of S over
-    predecessors; S(sink) equals the sum over all source->sink paths of the
-    products of the node constants on the path, the source's included.
-    """
-    lips = lips or all_node_lips(g)
-    s = {}
-    for nid in g.topo_order:
-        acc = 1.0 if nid == g.source else sum(s[u] for u in g.digraph.predecessors(nid))
-        s[nid] = lips[nid].lip * acc
-    return DagBound(bound=_not_nan(s[g.sink]), per_node_s=s)
 
 
 @dataclass(frozen=True)
@@ -359,43 +344,47 @@ class ArticulationBound:
     subdag_bounds: list
 
 
-def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
-    """Factor the path-sum bound across articulation points.
-
-    Cut vertices of the undirected shadow (never the source or the sink,
-    which every other node reaches or is reached from) split the graph
-    into sub-DAG segments; the bound is the product of segment path sums
-    and cut-vertex constants, the same value as dag_bound in factored
-    form. Every node lies on a source->sink path, so a cut vertex lies on
-    all of them: no edge from an earlier node in topological order lands
-    beyond it. One pass of the dag_bound recurrence in topological order,
-    keeping the furthest edge target seen so far, therefore finds each
-    cut, closes a segment there (and at the sink) and restarts with S = 1.
-    The first segment starts with S(source) = Lip[h_source], as in dag_bound.
-    """
-    lips = lips or all_node_lips(g)
+def _path_sums(g: NetworkGraph, lips, restart: bool):
+    """(S, cut vertices, segment sums) of S(source) = Lip[h_source],
+    S(v) = Lip[h_v] * sum of S over predecessors, in topological order. As
+    every node lies on a source->sink path, a node other than those two is
+    a cut vertex exactly when no edge from an earlier node lands beyond it.
+    With ``restart`` the pass closes a segment at each cut, keeping the sum
+    that reached it, and goes on with S = 1; the last closes at the sink."""
     position = {nid: i for i, nid in enumerate(g.topo_order)}
-    cuts, subdag_bounds, s = [], [], {}
+    cuts, segments, s = [], [], {}
     reach = 0  # furthest topological position an edge seen so far lands on
     for i, nid in enumerate(g.topo_order):
-        if nid == g.source:
-            s[nid] = lips[nid].lip
+        acc = 1.0 if nid == g.source else sum(s[u] for u in g.digraph.predecessors(nid))
+        if restart and reach == i and nid not in (g.source, g.sink):
+            cuts.append(nid)
+            segments.append(acc)
+            s[nid] = 1.0
         else:
-            acc = sum(s[u] for u in g.digraph.predecessors(nid))
-            if reach == i and nid != g.sink:
-                cuts.append(nid)
-                subdag_bounds.append(acc)
-                s[nid] = 1.0
-            else:
-                s[nid] = lips[nid].lip * acc
+            s[nid] = lips[nid].lip * acc
         reach = max([reach] + [position[v] for v in g.digraph.successors(nid)])
-    # the sink is a module of the last segment; cut vertices are their own factors
-    subdag_bounds.append(s[g.sink])
-    bound = 1.0
-    for val in subdag_bounds:
-        bound *= val
-    for c in cuts:
-        bound *= lips[c].lip
+    segments.append(s[g.sink])
+    return s, cuts, segments
+
+
+def dag_bound(g: NetworkGraph, lips=None) -> DagBound:
+    """Path-sum bound, S(sink) of the pass without restarts: the sum over
+    all source->sink paths of the products of their node constants, the
+    source's included."""
+    s, _, _ = _path_sums(g, lips or all_node_lips(g), restart=False)
+    return DagBound(bound=_not_nan(s[g.sink]), per_node_s=s)
+
+
+def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
+    """The same path sum, factored across articulation points: the pass
+    with restarts, then the product of the segment sums and of the cut
+    vertices' constants. On dyadic constants it equals dag_bound exactly;
+    otherwise the two can differ by rounding. They differ on overflow too:
+    on the chain 1e200 -> 1e200 -> 0 this multiplies the 0 in first and
+    gives 0, where dag_bound's inf * 0 is NaN (ROADMAP item 2)."""
+    lips = lips or all_node_lips(g)
+    _, cuts, subdag_bounds = _path_sums(g, lips, restart=True)
+    bound = math.prod(subdag_bounds + [lips[c].lip for c in cuts])
     return ArticulationBound(_not_nan(bound), cuts, subdag_bounds)
 
 
@@ -556,31 +545,6 @@ def _attention_value(kind: str, p: dict) -> float:
     q_term = max(norm(wq.array, np.inf) * norm(wq.array.T, np.inf) for wq, _ in heads)
     v_term = max(norm(wv.array.T, np.inf) for _, wv in heads)
     return (4.0 * inv + 1.0 / (d / h)) * norm(p["w_o"].array.T, np.inf) * q_term * v_term
-
-
-def seqlip_pair_factor(u1, v1, r_l: float, r_next: float) -> float:
-    """Spectral-alignment factor for one consecutive layer pair (Virmaux and
-    Scaman, SeqLip). It is an estimate, not a bound: it sees each layer
-    through its top singular vectors alone, and no lipkit bound calls it.
-
-    Solves max over gradient patterns t in [0,1]^n of
-    (1 - r_l - r_next) <t * v1, u1>^2 + r_l + r_next + r_l*r_next in closed
-    form: the inner product's extremes over t are the positive-part and
-    negative-part sums of u1*v1, and when the leading coefficient is
-    negative the maximizer switches to t = 0.
-    """
-    u1 = np.asarray(u1, dtype=np.float64)
-    v1 = np.asarray(v1, dtype=np.float64)
-    if u1.shape != v1.shape or u1.ndim != 1:
-        raise LengthMismatch(f"u1 and v1 must be 1-D of equal length, got {u1.shape} vs {v1.shape}")
-    if not (0 <= r_l <= 1 and 0 <= r_next <= 1):
-        raise ValueError("singular-value ratios must lie in [0, 1]")
-    prod = u1 * v1
-    m = max(float(prod[prod > 0].sum()) if np.any(prod > 0) else 0.0,
-            -float(prod[prod < 0].sum()) if np.any(prod < 0) else 0.0)
-    coef = 1.0 - r_l - r_next
-    quad = m**2 if coef >= 0 else 0.0
-    return math.sqrt(coef * quad + r_l + r_next + r_l * r_next)
 
 
 def certified_radius(margin: float, k: float, p: float = 2.0) -> float:

@@ -111,8 +111,23 @@ def _popcounts(n_masks):
 
 @overflow_raises("psi")
 def shapley_exact(game: CoalitionGame) -> np.ndarray:
-    """psi_i = sum over coalitions S without i of
-    |S|! (M-1-|S|)! / M! * (v(S + i) - v(S)); efficiency is checked."""
+    """psi_i = sum over coalitions S without i of w_|S| (v(S + i) - v(S)),
+    w_s = s! (M-1-s)! / M!. Efficiency, sum_i psi_i = v(N) - v(empty), is
+    exact in exact arithmetic, so a drift beyond rounding is refused.
+
+    The bound (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3-4; u = 2^-53, gamma_k = k u / (1 - k u), n = 2^(M-1)): a term
+    meets 3 roundings (weight, difference, product) and, summed in any
+    order, at most n - 1 more, so psi_i errs by at most gamma_(n+2) A_i,
+    A_i = sum_(S without i) w_|S| (|v(S + i)| + |v(S)|) >= |psi_i|. Summing
+    the psi_i adds gamma_(M-1) (1 + gamma_(n+2)) scale, scale = sum_i A_i,
+    and v(N) - v(empty) adds u scale. The drift is thus at most
+    1.01 (n + M + 2) u scale; the check allows c(M) u scale with
+    c(M) = 2 (n + M + 1), which covers the rounding in scale, plus
+    M n 2^-1074 for underflowing products. In scale a worth v(T) counts
+    |T| w_(|T|-1) + (M - |T|) w_|T|, each nonzero term 1 / C(M, |T|), and
+    the counts sum to 2M.
+    """
     m = game.n_players
     if m > MAX_EXACT_PLAYERS:
         raise PlayerCountTooLarge(f"exact mode limited to {MAX_EXACT_PLAYERS} players, got {m}")
@@ -121,8 +136,11 @@ def shapley_exact(game: CoalitionGame) -> np.ndarray:
     psi = _kernels.shapley_accumulate(np.asarray(game.values), weights, pc, m)
     total = game.values[-1] - game.values[0]
     drift = abs(float(psi.sum()) - float(total))
-    if drift > 1e-10 * max(1.0, abs(float(total))):
-        raise LipkitError(f"efficiency violated by {drift:.3e}")  # pragma: no cover
+    # scale / 2M, a weighted mean of the |v(T)|, cannot overflow
+    count = np.array([((j > 0) + (j < m)) / (2 * m * math.comb(m, j)) for j in range(m + 1)])
+    mean = float(np.sum(np.abs(game.values) * count[pc]))
+    if drift > 4 * m * (2 ** (m - 1) + m + 1) * 2.0**-53 * mean + m * 2.0 ** (m - 1075):
+        raise LipkitError(f"efficiency violated by {drift:.3e}")
     return psi
 
 

@@ -65,6 +65,22 @@ class TestBound:
         assert code == 0
         assert float(out.splitlines()[0].split("=")[1]) == 4.0
 
+    def test_product_refuses_a_residual_block(self, capsys, tmp_path):
+        # in -> a -> m with the skip edge in -> m: for identity modules the
+        # true constant of x -> m(a(x) + x) is 2, which dag and articulation
+        # print; the product of the chain, 1, is not a bound
+        nodes = [{"id": "in", "kind": "input"}] + [
+            {"id": nid, "kind": "scalar_lip", "lip": 1} for nid in ("a", "m", "out")]
+        edges = [["in", "a"], ["a", "m"], ["in", "m"], ["m", "out"]]
+        argv = _network(tmp_path, {"nodes": nodes, "edges": edges})
+        out_path = tmp_path / "lips.csv"
+        code, out, err = run(capsys, *argv, "--method", "product", "--out", str(out_path))
+        assert (code, out) == (3, "") and not out_path.exists()
+        assert err == ("graph error: edge ('in' -> 'm') does not join consecutive chain nodes\n")
+        for method in ("dag", "articulation"):
+            code, out, _ = run(capsys, *argv, "--method", method)
+            assert code == 0 and "bound = 2\n" in out
+
     def test_articulation_method(self, capsys, figure_net):
         code, out, _ = run(capsys, "bound", "--net", figure_net, "--method", "articulation")
         assert code == 0
@@ -1087,12 +1103,16 @@ def test_bound_includes_the_source_constant(capsys, tmp_path, method):
 
 @pytest.mark.parametrize("method", ["product", "dag", "articulation"])
 def test_nan_bound_exits_5(capsys, tmp_path, method):
-    # 1e200 * 1e200 overflows to inf, and inf * 0 is nan
+    # 1e200 * 1e200 overflows to inf, and inf * 0 is nan. product reads
+    # chains only; for the path sums the skip edge in -> c leaves no cut
+    # vertex, so the 0 cannot be multiplied in first
     nodes = [{"id": "in", "kind": "input"}] + [
         {"id": nid, "kind": "scalar_lip", "lip": lip}
         for nid, lip in (("a", 1e200), ("b", 1e200), ("c", 0))
     ]
-    edges = [["in", "a"], ["a", "b"], ["b", "c"], ["in", "c"]]
+    edges = [["in", "a"], ["a", "b"], ["b", "c"]]
+    if method != "product":
+        edges.append(["in", "c"])
     out_path = tmp_path / "lips.csv"
     code, out, err = run(capsys, *_network(tmp_path, {"nodes": nodes, "edges": edges}),
                          "--method", method, "--out", str(out_path))

@@ -182,6 +182,15 @@ class TestAggregate:
         product = np.prod([l.sigma1 for l in layers])
         assert net.bound == pytest.approx(product, rel=1e-10)
 
+    def test_bound_overflow_names_the_bound(self):
+        # log_bound = 2 log(1e300) = 1381.6 is finite, e^1381.6 is not
+        layer = LayerDynamicsState.create(
+            DenseMatrix(np.diag([1e300, 1.0])), np.zeros(4), DenseMatrix(np.eye(4)), 0.1)
+        net = NetworkDynamics([layer, layer])
+        assert math.isfinite(net.log_bound)
+        with pytest.raises(FloatingPointError, match="^bound: overflow in its float64 arithmetic$"):
+            net.bound
+
 
 class TestEulerMaruyama:
     def test_frozen_trajectory(self, rng):
@@ -325,6 +334,16 @@ class TestLogLipIncrement:
 
 
 class TestEnsemble:
+    def test_overflow_names_the_trajectory_as_euler_maruyama_does(self):
+        # the first step's drift 1e308 * dt overflows to inf
+        state = LayerDynamicsState.create(
+            DenseMatrix(np.diag([2.0, 1.0])), [1e308, 0, 0, 0], DenseMatrix(np.eye(4)), 0.1)
+        for run in (lambda: simulate_ensemble(state, dt=10, steps=3, n_paths=2),
+                    lambda: euler_maruyama(state, dt=10, steps=3)):
+            with pytest.raises(FloatingPointError,
+                               match="^trajectory: overflow in its float64 arithmetic$"):
+                run()
+
     def test_deterministic_and_shape(self, rng):
         state = make_state(rng, eta=1e-4)
         a = simulate_ensemble(state, dt=0.01, steps=10, n_paths=8, seed=4)

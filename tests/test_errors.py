@@ -25,7 +25,6 @@ EXIT_CODES = {
     "PlayerCountTooLarge": 2,
     "DegenerateWeights": 2,
     "NegativeShapley": 2,
-    "LengthMismatch": 2,
     "NonBracketable": 2,
     "NotSkew": 2,
     "NotSimplex": 2,

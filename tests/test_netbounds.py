@@ -12,7 +12,6 @@ from lipkit.errors import (
     CycleDetected,
     GraphInvalid,
     InvalidParams,
-    LengthMismatch,
     NonBracketable,
     NotAPath,
     UnknownActivation,
@@ -32,7 +31,6 @@ from lipkit.netbounds import (
     phi_inverse,
     product_bound,
     residual_bound,
-    seqlip_pair_factor,
 )
 from lipkit.specest import local_lipschitz_sample
 
@@ -299,6 +297,16 @@ class TestProductBound:
         with pytest.raises(NotAPath):
             product_bound(["s", "v"], g)
 
+    @pytest.mark.parametrize("chain", [["s", "a", "m", "t"], ["s", "a", "m"]])
+    def test_an_edge_off_the_chain_is_refused_by_name(self, chain):
+        # a residual block: the skip edge s -> m adds the path s, m, t, so the
+        # path sum is 2 and the product of the chain, 1, bounds nothing
+        g = scalar_graph({"a": 1.0, "m": 1.0, "t": 1.0},
+                         [("s", "a"), ("a", "m"), ("s", "m"), ("m", "t")], "s", "t")
+        assert dag_bound(g).bound == articulation_bound(g).bound == 2.0
+        with pytest.raises(NotAPath, match=r"edge \('s' -> 'm'\) does not join consecutive"):
+            product_bound(chain, g)
+
 
 class TestDagBound:
     def test_figure_four_paths(self):
@@ -374,16 +382,20 @@ class TestSourceConstant:
         assert res.bound == 3.0 and res.subdag_bounds == [3.0]
 
 
-@pytest.mark.parametrize("bound", [
-    lambda g: product_bound(["s", "a", "b", "c"], g),
-    lambda g: dag_bound(g).bound,
-    lambda g: articulation_bound(g).bound,
+_CHAIN = [("s", "a"), ("a", "b"), ("b", "c")]
+
+
+@pytest.mark.parametrize("bound, edges", [
+    (lambda g: product_bound(["s", "a", "b", "c"], g), _CHAIN),
+    (lambda g: dag_bound(g).bound, _CHAIN + [("s", "c")]),
+    (lambda g: articulation_bound(g).bound, _CHAIN + [("s", "c")]),
 ], ids=["product", "dag", "articulation"])
-def test_nan_bound_raises(bound):
-    # 1e200 * 1e200 overflows to inf, and inf * 0 is nan; the edge s -> c
-    # leaves no cut vertex, so no method can multiply the 0 in first
+def test_nan_bound_raises(bound, edges):
+    # 1e200 * 1e200 overflows to inf, and inf * 0 is nan. The product bound
+    # reads chains only; for the path sums the edge s -> c leaves no cut
+    # vertex, so the 0 cannot be multiplied in first
     lips = {"s": 1.0, "a": 1e200, "b": 1e200, "c": 0.0}
-    g = scalar_graph(lips, [("s", "a"), ("a", "b"), ("b", "c"), ("s", "c")], "s", "c")
+    g = scalar_graph(lips, edges, "s", "c")
     with pytest.raises(FloatingPointError, match="bound is nan"):
         bound(g)
 
@@ -749,31 +761,6 @@ class TestAttentionParams:
         assert params == {"n": 2, "x_norm": 1.0, "delta": 0.0, "w_v": DenseMatrix([[3.0, 4.0]]),
                           "w_q": DenseMatrix([[2.0, 0.0]]), "w_k": DenseMatrix([[3.0, 4.0]])}
         assert attention_bound("hu_local", params) == 6 * (5 * 2 * 5 + 5)
-
-
-class TestSeqLip:
-    def test_sign_split(self):
-        u = np.array([0.5, -0.3])
-        v = np.ones(2)
-        assert seqlip_pair_factor(u, v, 0.0, 0.0) == pytest.approx(0.5)
-
-    def test_aligned_no_refinement(self):
-        u = np.array([0.6, 0.4])
-        v = np.ones(2)
-        assert seqlip_pair_factor(u, v, 0.0, 0.0) == pytest.approx(1.0)
-
-    def test_extreme_ratios_sqrt3(self, rng):
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(6)
-        assert seqlip_pair_factor(u, v, 1.0, 1.0) == pytest.approx(math.sqrt(3.0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            seqlip_pair_factor(np.ones(2), np.ones(3), 0.0, 0.0)
-
-    def test_ratio_validation(self):
-        with pytest.raises(ValueError):
-            seqlip_pair_factor(np.ones(2), np.ones(2), 1.5, 0.0)
 
 
 class TestCertifiedRadius:

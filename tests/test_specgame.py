@@ -10,6 +10,7 @@ from lipkit.errors import (
     CallbackFailure,
     DegenerateWeights,
     GridMismatch,
+    LipkitError,
     NegativeShapley,
     PlayerCountTooLarge,
 )
@@ -196,6 +197,32 @@ class TestShapleyExact:
         values = rng.standard_normal(1 << 6)
         psi = shapley_exact(CoalitionGame(6, values))
         assert psi.sum() == pytest.approx(values[-1] - values[0], abs=1e-10)
+
+    def test_large_worths_with_a_small_total_are_accepted(self):
+        # rounding in the kernel's sums scales with the worths, not with
+        # v(N) - v(empty) = 1: the drift here is 2.8e-9
+        values = 1e8 * np.random.default_rng(0).standard_normal(1 << 12)
+        values[0], values[-1] = 0.0, 1.0
+        psi = shapley_exact(CoalitionGame(12, values))
+        assert abs(psi.sum() - 1.0) < 1e-8
+
+    def test_a_kernel_off_by_more_than_rounding_is_refused(self, monkeypatch, rng):
+        m = 5
+        values = rng.standard_normal(1 << m)
+        # scale = sum_i sum_(S without i) w_|S| (|v(S + i)| + |v(S)|)
+        weights = specgame._shapley_weights(m)
+        scale = sum(weights[bin(s).count("1")] * (abs(values[s | 1 << i]) + abs(values[s]))
+                    for i in range(m) for s in range(1 << m) if not s >> i & 1)
+        accumulate = specgame._kernels.shapley_accumulate
+
+        def shifted(*args):
+            psi = accumulate(*args)
+            psi[2] += 1e-6 * scale
+            return psi
+
+        monkeypatch.setattr(specgame._kernels, "shapley_accumulate", shifted)
+        with pytest.raises(LipkitError, match=f"efficiency violated by {1e-6 * scale:.3e}$"):
+            shapley_exact(CoalitionGame(m, values))
 
     def test_linearity(self, rng):
         u = rng.standard_normal(1 << 4)
