@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import re
 import sys
@@ -26,6 +27,12 @@ import numpy as np
 from . import activations, dynamics, fourlip, netbounds, specgame, svdcalc
 from .errors import LipkitError
 from .matcore import _fmt, _open_text, _write_csv, full_svd, load_matrix_csv, matrix_csv_lines, vec
+
+# a command's process keeps what it imported until it exits; the collector
+# would scan those ~90k objects again at exit, 0.13-0.21 s of each command
+# (about 0.02 s frozen). Frozen by the CLI and not by the package, so that a host
+# that imports only the library keeps its own objects collectable.
+gc.freeze()
 
 # stderr prefix for each exit code; the code comes from the error class
 _LABELS = {2: "error", 3: "graph error", 4: "degenerate spectrum", 5: "numeric error"}

@@ -315,7 +315,8 @@ def _game_by_lines(path, n_players):
     time by ``int`` and ``float``, in O(rows) Python objects. Raises the
     error of its first line that is not ``bitmask,value``, holds a value
     that is not finite, or repeats a mask or has a negative one; else that
-    of an empty or incomplete table."""
+    of an empty table, of the least mask that needs more than n players,
+    or of an incomplete table."""
     entries = {}
     with _open_text(path) as fh:
         for lineno, parts in _csv_rows(fh):
@@ -337,6 +338,9 @@ def _game_by_lines(path, n_players):
     size = len(entries)
     if n_players <= MAX_MC_PLAYERS and size == 1 << n_players and max(entries) < size:
         return CoalitionGame(n_players, np.array([entries[mask] for mask in range(size)]))
+    over = [mask for mask in entries if mask.bit_length() > n_players]
+    if over:
+        raise ValueError(f"{path}: mask {min(over)} needs more than {n_players} players")
     # the masks are distinct, so the first four of 0..2^n-1 that are missing
     # lie below size + 4; a large n makes no 2^n-sized integer or range
     stop = size + 4

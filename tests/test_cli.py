@@ -614,6 +614,15 @@ class TestShapley:
         code, out, err = run(capsys, *argv, "--score", "--beta", beta)
         assert (code, out, err) == (2, "", f"error: {text}\n")
 
+    @pytest.mark.parametrize("text, mask", [
+        ("".join(f"{m},{m}\n" for m in range(16)), 8),  # a whole 4-player table
+        ("0,0\n12,2\n9,1\n", 9),  # masks below 8 are missing too
+    ], ids=["complete", "gaps"])
+    def test_mask_beyond_the_player_count_is_named(self, capsys, tmp_path, text, mask):
+        argv = _game(tmp_path, text)
+        code, out, err = run(capsys, *argv, "--players", "3")
+        assert (code, out, err) == (2, "", f"error: {argv[-1]}: mask {mask} needs more than 3 players\n")
+
     def test_non_finite_value_exits_2_naming_the_line(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("0,0\n1,nan\n")

@@ -111,7 +111,10 @@ def load_game_csv_ref(path, n_players=None):
         n_players = max(entries).bit_length()
         n_players = max(n_players, 1)
     size = 1 << n_players
-    if len(entries) != size or max(entries) >= size:
+    if max(entries) >= size:
+        over = min(m for m in entries if m >= size)
+        raise ValueError(f"{path}: mask {over} needs more than {n_players} players")
+    if len(entries) != size:
         missing = list(itertools.islice((m for m in range(size) if m not in entries), 4))
         raise ValueError(
             f"{path}: table incomplete for {n_players} players (missing masks {missing}...)"
