@@ -30,8 +30,8 @@ from .matcore import _fmt, _open_text, _write_csv, full_svd, load_matrix_csv, ma
 
 # a command's process keeps what it imported until it exits; the collector
 # would scan those ~90k objects again at exit, 0.13-0.21 s of each command
-# (about 0.02 s frozen). Frozen by the CLI and not by the package, so that a host
-# that imports only the library keeps its own objects collectable.
+# (about 0.02 s frozen). lipkit's only collector call: the package leaves the
+# collector alone, so a host importing only the library keeps its objects collectable.
 gc.freeze()
 
 # stderr prefix for each exit code; the code comes from the error class

@@ -41,7 +41,10 @@ from .errors import (
 from .matcore import DenseMatrix
 from .specest import power_iteration
 
-NODE_KINDS = ("input", "linear", "activation", "scalar_lip", "residual_group", "attention")
+_NODE_FIELDS = {"input": (), "linear": ("weight_ref",), "activation": ("activation",),
+                "scalar_lip": ("lip",), "residual_group": ("inner_lip",),
+                "attention": ("attention_kind", "params")}  # read besides "id" and "kind"
+NODE_KINDS = tuple(_NODE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,8 @@ class NetworkGraph:
         for u, v in edges:
             if u not in self.nodes or v not in self.nodes:
                 raise GraphInvalid(f"edge ({u!r}, {v!r}) references unknown node")
+            if g.has_edge(u, v):  # the DiGraph would keep one, and the bound miss the other
+                raise GraphInvalid(f"edge ({u!r}, {v!r}) is repeated")
             g.add_edge(u, v)
         if not nx.is_directed_acyclic_graph(g):
             raise CycleDetected("graph contains a directed cycle")
@@ -185,9 +190,9 @@ def _activation(value, where):
         if "name" not in value:
             raise GraphInvalid(f"{where}: activation object needs a 'name'")
         name = value["name"]
-        for field in ("alpha", "dim"):
+        for field in value:
             # an unknown name is left to make_activation, which refuses it
-            if field in value and name in NAMES and field not in PARAMS.get(name, ()):
+            if field != "name" and name in NAMES and field not in PARAMS.get(name, ()):
                 raise GraphInvalid(f"{where}: activation {name!r} does not read {field!r}")
         return make_activation(name, alpha=_typed(value.get("alpha", 1.0), float, where, "alpha"),
                                dim=_typed(value.get("dim", 0), int, where, "dim"))
@@ -238,6 +243,9 @@ def graph_from_doc(doc) -> NetworkGraph:
             attention = kwargs["attention_kind"] = entry.get("attention_kind")
             kwargs["attention_params"] = _attention_params(
                 attention, entry.get("params") or {}, where, matrices)
+        for key in entry:  # NODE_KINDS is a tuple, so an unhashable kind is simply not in it
+            if kind in NODE_KINDS and key not in ("id", "kind", *_NODE_FIELDS[kind]):
+                raise GraphInvalid(f"{where}: kind {kind!r} does not read {key!r}")
         nodes.append(Node(id=nid, kind=kind, **kwargs))
 
     edges = [
@@ -304,17 +312,11 @@ def all_node_lips(
     return lips
 
 
-def _not_nan(bound: float) -> float:
-    """``bound``, unless it is NaN (an overflow to inf times a 0), which bounds nothing."""
-    if math.isnan(bound):
-        raise FloatingPointError("bound is nan: a product of node constants overflowed and met 0")
-    return bound
-
-
 def product_bound(chain, g: NetworkGraph, lips=None) -> float:
     """Product of node constants along ``chain``, a directed path that is
-    the whole graph. Any other edge (a skip edge, a branch) adds paths the
-    product does not bound, and raises NotAPath naming it."""
+    the whole graph: the path-sum pass's S(sink), the sum over its one path.
+    Any other edge (a skip edge, a branch) adds paths the product does not
+    bound, and raises NotAPath naming it."""
     chain = list(chain)
     if not chain:
         raise NotAPath("empty chain")
@@ -327,8 +329,7 @@ def product_bound(chain, g: NetworkGraph, lips=None) -> float:
     for u, v in g.digraph.edges:
         if (u, v) not in links:
             raise NotAPath(f"edge ({u!r} -> {v!r}) does not join consecutive chain nodes")
-    lips = lips or all_node_lips(g)
-    return _not_nan(math.prod(lips[nid].lip for nid in chain))
+    return _path_sums(g, lips or all_node_lips(g), restart=False)[0]
 
 
 @dataclass(frozen=True)
@@ -345,12 +346,15 @@ class ArticulationBound:
 
 
 def _path_sums(g: NetworkGraph, lips, restart: bool):
-    """(S, cut vertices, segment sums) of S(source) = Lip[h_source],
+    """(bound, S, cut vertices, segment sums) of S(source) = Lip[h_source],
     S(v) = Lip[h_v] * sum of S over predecessors, in topological order. As
     every node lies on a source->sink path, a node other than those two is
     a cut vertex exactly when no edge from an earlier node lands beyond it.
     With ``restart`` the pass closes a segment at each cut, keeping the sum
-    that reached it, and goes on with S = 1; the last closes at the sink."""
+    that reached it, and goes on with S = 1; the last closes at the sink.
+    The bound is the product of the segment sums and of the cut vertices'
+    constants (S(sink) without restarts). A NaN bound, an overflow to inf
+    times a 0, bounds nothing and raises FloatingPointError."""
     position = {nid: i for i, nid in enumerate(g.topo_order)}
     cuts, segments, s = [], [], {}
     reach = 0  # furthest topological position an edge seen so far lands on
@@ -364,15 +368,18 @@ def _path_sums(g: NetworkGraph, lips, restart: bool):
             s[nid] = lips[nid].lip * acc
         reach = max([reach] + [position[v] for v in g.digraph.successors(nid)])
     segments.append(s[g.sink])
-    return s, cuts, segments
+    bound = math.prod(segments + [lips[c].lip for c in cuts])
+    if math.isnan(bound):
+        raise FloatingPointError("bound is nan: a product of node constants overflowed and met 0")
+    return bound, s, cuts, segments
 
 
 def dag_bound(g: NetworkGraph, lips=None) -> DagBound:
     """Path-sum bound, S(sink) of the pass without restarts: the sum over
     all source->sink paths of the products of their node constants, the
     source's included."""
-    s, _, _ = _path_sums(g, lips or all_node_lips(g), restart=False)
-    return DagBound(bound=_not_nan(s[g.sink]), per_node_s=s)
+    bound, s, _, _ = _path_sums(g, lips or all_node_lips(g), restart=False)
+    return DagBound(bound=bound, per_node_s=s)
 
 
 def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
@@ -382,10 +389,8 @@ def articulation_bound(g: NetworkGraph, lips=None) -> ArticulationBound:
     otherwise the two can differ by rounding. They differ on overflow too:
     on the chain 1e200 -> 1e200 -> 0 this multiplies the 0 in first and
     gives 0, where dag_bound's inf * 0 is NaN (ROADMAP item 2)."""
-    lips = lips or all_node_lips(g)
-    _, cuts, subdag_bounds = _path_sums(g, lips, restart=True)
-    bound = math.prod(subdag_bounds + [lips[c].lip for c in cuts])
-    return ArticulationBound(_not_nan(bound), cuts, subdag_bounds)
+    bound, _, cuts, subdag_bounds = _path_sums(g, lips or all_node_lips(g), restart=True)
+    return ArticulationBound(bound, cuts, subdag_bounds)
 
 
 def residual_bound(inner_lip: float) -> float:

@@ -81,6 +81,32 @@ class TestBound:
             code, out, _ = run(capsys, *argv, "--method", method)
             assert code == 0 and "bound = 2\n" in out
 
+    @pytest.mark.parametrize("node, edges, text", [
+        ({"id": "a", "kind": "activation", "activation": "elu", "alpha": 3}, None,
+         "node 'a': kind 'activation' does not read 'alpha'"),
+        ({"id": "a", "kind": "activation", "activation": {"name": "elu", "alpha": 3, "beta": 2}},
+         None, "node 'a': activation 'elu' does not read 'beta'"),
+        ({"id": "a", "kind": "linear", "weight_ref": "w", "lip": 2}, None,
+         "node 'a': kind 'linear' does not read 'lip'"),
+        ({"id": "a", "kind": "scalar_lip", "lip": 1}, [["in", "a"], ["in", "a"], ["a", "out"]],
+         "edge ('in', 'a') is repeated"),
+    ], ids=["node-alpha", "activation-beta", "linear-lip", "repeated-edge"])
+    def test_unread_key_or_repeated_edge_exits_2(self, capsys, tmp_path, node, edges, text):
+        # each printed a bound with exit 0 that ignored the key or the second
+        # edge: elu with alpha 3 has constant 3, and a(in + in) constant 2
+        doc = _net_with(node)
+        doc["edges"] = edges or doc["edges"]
+        out_path = tmp_path / "lips.csv"
+        code, out, err = run(capsys, *_network(tmp_path, doc), "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"error: {text}\n") and not out_path.exists()
+
+    def test_negative_zero_constant_gives_bound_zero(self, capsys, tmp_path):
+        # the path sum adds the one predecessor's S to 0, so -0.0 becomes 0
+        argv = _network(tmp_path, _net_with({"id": "a", "kind": "scalar_lip", "lip": -0.0}))
+        for method in ("product", "dag"):
+            code, out, _ = run(capsys, *argv, "--method", method)
+            assert code == 0 and out.startswith("bound = 0\n")
+
     def test_articulation_method(self, capsys, figure_net):
         code, out, _ = run(capsys, "bound", "--net", figure_net, "--method", "articulation")
         assert code == 0

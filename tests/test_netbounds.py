@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lipkit import netbounds
 from lipkit.cli import main
@@ -162,6 +164,13 @@ class TestGraphValidation:
         with pytest.raises(UnknownNode):
             node_lipschitz(g, "zz")
 
+    def test_repeated_edge_refused_by_name(self):
+        # a sums its inputs, so a(in + in) has constant 2; a DiGraph would
+        # keep one of the two edges and the path sum would read 1
+        nodes = [Node("in", "input"), Node("a", "scalar_lip", lip=1.0), Node("out", "scalar_lip", lip=1.0)]
+        with pytest.raises(GraphInvalid, match=r"^edge \('in', 'a'\) is repeated$"):
+            NetworkGraph(nodes, [("in", "a"), ("in", "a"), ("a", "out")])
+
 
 class TestGraphFromDoc:
     @staticmethod
@@ -176,8 +185,9 @@ class TestGraphFromDoc:
     @pytest.mark.parametrize(
         "activation, field",
         [({"name": "relu", "alpha": 5}, "alpha"), ({"name": "tanh", "dim": 7}, "dim"),
-         ({"name": "softmax", "dim": 3, "alpha": 3}, "alpha")],
-        ids=["relu-alpha", "tanh-dim", "softmax-alpha"],
+         ({"name": "softmax", "dim": 3, "alpha": 3}, "alpha"),
+         ({"name": "elu", "alpha": 3, "beta": 2}, "beta")],
+        ids=["relu-alpha", "tanh-dim", "softmax-alpha", "elu-beta"],
     )
     def test_field_not_read_refused(self, activation, field):
         text = f"node 'a': activation {activation['name']!r} does not read {field!r}"
@@ -196,6 +206,36 @@ class TestGraphFromDoc:
     def test_unknown_name_refused_before_its_fields(self, name):
         with pytest.raises(UnknownActivation):
             netbounds.graph_from_doc(self._doc({"name": name, "alpha": 5}))
+
+    @pytest.mark.parametrize("node, key", [
+        ({"kind": "input", "lip": 2}, "lip"),
+        ({"kind": "linear", "weight_ref": "w", "activation": "relu"}, "activation"),
+        ({"kind": "activation", "activation": "elu", "alpha": 3}, "alpha"),
+        ({"kind": "scalar_lip", "lip": 1, "inner_lip": 1}, "inner_lip"),
+        ({"kind": "residual_group", "inner_lip": 1, "lip": 1}, "lip"),
+        ({"kind": "attention", "attention_kind": "kim_l2", "n": 3,
+          "params": {"heads": [["w", "w"]], "w_o": "w", "n": 3, "d": 2}}, "n"),
+    ], ids=["input", "linear", "activation", "scalar_lip", "residual_group", "attention"])
+    def test_node_key_its_kind_does_not_read_refused(self, node, key):
+        doc = self._doc("relu")
+        doc["nodes"][1] = {"id": "a", **node}
+        doc["matrices"] = {"w": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}}
+        with pytest.raises(GraphInvalid) as info:
+            netbounds.graph_from_doc(doc)
+        assert str(info.value) == f"node 'a': kind {node['kind']!r} does not read {key!r}"
+
+    @pytest.mark.parametrize("kind", ["conv", ["activation"], {"k": 1}])
+    def test_unknown_kind_refused_before_its_keys(self, kind):
+        doc = self._doc("relu")
+        doc["nodes"][1].update(kind=kind, alpha=3)
+        with pytest.raises(GraphInvalid, match=re.escape(f"node 'a': unknown kind {kind!r}")):
+            netbounds.graph_from_doc(doc)
+
+    def test_unknown_activation_refused_before_unread_keys(self):
+        doc = self._doc({"name": "selu", "beta": 2})
+        doc["nodes"][1]["alpha"] = 3
+        with pytest.raises(UnknownActivation):
+            netbounds.graph_from_doc(doc)
 
 
 class TestNodeLipschitz:
@@ -380,6 +420,28 @@ class TestSourceConstant:
         assert product_bound(["w", "a"], g) == dag_bound(g).bound == 3.0
         res = articulation_bound(g)
         assert res.bound == 3.0 and res.subdag_bounds == [3.0]
+
+
+def _hex_or_error(bound):
+    try:
+        return bound().hex()
+    except FloatingPointError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 3.0, 1e200]) | st.floats(0.0, 4.0), min_size=1, max_size=12))
+@example([1.0, 1e200, 1e200, 0.0])
+def test_product_on_a_chain_is_the_path_sum_pass(lips):
+    # the pass's s_k = l_k * s_(k-1) is the chain's product in the same
+    # order, bit for bit, and an inf * 0 raises the same error for both
+    ids = [f"n{i}" for i in range(len(lips))]
+    g = NetworkGraph([Node(nid, "scalar_lip", lip=val) for nid, val in zip(ids, lips)],
+                     list(zip(ids, ids[1:])))
+    product = _hex_or_error(lambda: product_bound(ids, g))
+    assert product == _hex_or_error(lambda: dag_bound(g).bound)
+    expect = math.prod(lips)
+    assert product == (expect.hex() if not math.isnan(expect) else
+                       "bound is nan: a product of node constants overflowed and met 0")
 
 
 _CHAIN = [("s", "a"), ("a", "b"), ("b", "c")]

@@ -29,8 +29,8 @@ def _python(*args, cwd=None):
     ("import gc, lipkit.cli\nprint(gc.isenabled(), gc.get_freeze_count() > 0)", "True True"),
 ], ids=["library", "left-off", "failed-import", "cli"])
 def test_import_leaves_the_collector_as_found(code, out):
-    # the package imports with collection off and restores it; only the CLI
-    # freezes what was imported
+    # the package import leaves the collector alone; only the CLI freezes
+    # what was imported
     proc = _python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
 
