@@ -124,15 +124,12 @@ def cmd_svd_deriv(args):
     mat = load_matrix_csv(args.matrix)
     if args.order == 1:
         result = svdcalc.sv_jacobian(full_svd(mat), args.k)
-        oracle = svdcalc.fd_gradient_oracle
     else:
         svdcalc.check_hessian_budget(mat.rows, mat.cols)
         result = svdcalc.sv_hessian(full_svd(mat), args.k)
-        oracle = svdcalc.fd_hessian_oracle
     dev = None
     if args.check_fd:
-        diff = result.array - oracle(mat, args.k, **_passed(args, "step")).array
-        dev = np.max(np.abs(diff, out=diff))
+        dev = svdcalc.fd_max_deviation(result, mat, args.k, args.order, **_passed(args, "step"))
     # checked before anything is written, so a failed check leaves no --out
     # file; each row is formatted once for both stdout and --out
     with _open_out(args.out) as fh:

@@ -132,7 +132,7 @@ def _typed(value, kind, where, field, error=GraphInvalid):
         if kind is not float:
             return value
         if abs(value) <= sys.float_info.max:  # no NaN, inf or int beyond float range
-            return float(value)
+            return float(value) + 0.0  # -0.0 + 0.0 is +0.0
     raise error(f"{where}: {field!r} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
@@ -283,7 +283,7 @@ def node_lipschitz(
     if node.kind == "activation":
         return NodeLip(node_id, closed_form_lipschitz(node.activation), "closed_form")
     if node.kind == "scalar_lip":
-        return NodeLip(node_id, float(node.lip), "user_supplied")
+        return NodeLip(node_id, float(node.lip) + 0.0, "user_supplied")  # a -0.0 prints as 0
     if node.kind == "residual_group":
         return NodeLip(node_id, residual_bound(node.inner_lip), "closed_form")
     if node.kind == "attention":

@@ -51,10 +51,11 @@ def check_hessian_budget(rows: int, cols: int):
     """Refuse a dense (rows*cols)^2 Hessian larger than MAX_HESSIAN_BYTES,
     before anything of that size is allocated.
 
-    The limit covers H alone. Building H holds about twice its size (the
-    columns C next to their half-sum H), and a finite-difference check adds
-    the oracle's result and the difference, so the real peak is 2-3x the
-    limit. :func:`sv_hessian` itself does not call this.
+    The limit covers H, and the peak is little more: :func:`sv_hessian`
+    forms H in the buffer of its columns (with a finiteness mask of 1/8 of
+    H), and :func:`fd_max_deviation` holds H plus O(m (m + n)^2) for one
+    column block of the oracle at a time. :func:`sv_hessian` itself does
+    not call this.
     """
     nbytes = 8 * (rows * cols) ** 2
     if nbytes > MAX_HESSIAN_BYTES:
@@ -125,9 +126,11 @@ def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
     """Hessian of sigma_k in the column-major vec layout (mn x mn).
 
     The Hessian step of each basis matrix E_c = e_i e_j^T (c = i + j*m) gives
-    the column C_c = H vec(E_c); H = (C + C^T)/2 is exactly symmetric. H costs
-    8 (mn)^2 bytes and the assembly peaks near twice that; for <H, Sigma> or
-    H vec(E) use :func:`sv_hessian_contract` or :func:`sv_hessian_apply`.
+    the column C_c = H vec(E_c); H = (C + C^T)/2 is exactly symmetric and is
+    formed in C's own buffer. H costs 8 (mn)^2 bytes, and the peak is H,
+    DenseMatrix's (mn)^2-byte finiteness mask and O(mn (m + n)); for
+    <H, Sigma> or H vec(E) use :func:`sv_hessian_contract` or
+    :func:`sv_hessian_apply`.
     """
     step = _hessian_step(svd, k)
     m, n, d = svd.rows, svd.cols, svd.rows * svd.cols
@@ -137,10 +140,14 @@ def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
     h = f[:, None, :] * vk[:, None]  # h[c, j, i] = f_c[i] v_k[j] + u_k[i] g_c[j] = C[i + j*m, c]
     for i in range(m):  # a slice at a time: no temporary of H's size
         h[:, :, i] += g * uk[i]
-    # rebinding h frees C before DenseMatrix checks H, which it keeps (F order) without a copy
-    h = np.add(h.reshape(d, d), h.reshape(d, d).T, out=np.empty((d, d), order="F"))
-    h *= 0.5
-    return DenseMatrix(h)
+    h = h.reshape(d, d)  # C^T
+    # a band of m rows and its mirrored columns at a time, untouched by the
+    # bands before it; (x + y) * 0.5 is the same float for (r, c) and (c, r)
+    for lo in range(0, d, m):
+        band = (h[lo:lo + m, lo:] + h[lo:, lo:lo + m].T) * 0.5
+        h[lo:lo + m, lo:] = band
+        h[lo:, lo:lo + m] = band.T
+    return DenseMatrix(h.T)  # F order, kept by DenseMatrix without a copy
 
 
 def sv_hessian_contract(svd: SvdTriple, k: int, sigma: np.ndarray) -> float:
@@ -354,22 +361,54 @@ def _column_bumps(a: DenseMatrix, step: float, compute_uv: bool):
         yield j, svd_up, svd_down
 
 
-def fd_gradient_oracle(a: DenseMatrix, k: int, step: float = 1e-6) -> DenseMatrix:
+# the default central-difference step of each derivative order
+_FD_STEP = {1: 1e-6, 2: 1e-5}
+
+
+def _fd_blocks(a: DenseMatrix, k: int, order: int, step: float):
+    """Yield (cols, block) for each column j of A: the columns ``cols`` of
+    the finite-difference estimate of the order-``order`` derivative of
+    sigma_k that the bumps of A's column j give. Order 1: column j of
+    d sigma_k / dA, as an m x 1 block. Order 2: the m vec columns j*m ..
+    (j+1)*m - 1 of the Hessian, as an mn x m block of central differences
+    of the Jacobian u_k v_k^T, after each bumped spectrum has passed the
+    Jacobian's own checks."""
+    m, n = a.shape
+    if order == 1 and not 1 <= k <= min(m, n):
+        raise ValueError(f"k={k} outside 1..min(m,n)={min(m, n)}")
+    for j, up, dn in _column_bumps(a, step, compute_uv=order == 2):
+        if order == 1:
+            yield slice(j, j + 1), (up[:, k - 1, None] - dn[:, k - 1, None]) / (2 * step)
+            continue
+        (u_up, s_up, vt_up), (u_dn, s_dn, vt_dn) = up, dn
+        for pair in zip(s_up, s_dn):
+            for s in pair:
+                _require_simple(s, k, _numerical_rank(s))
+        j_up = u_up[:, :, k - 1, None] * vt_up[:, None, k - 1, :]
+        j_dn = u_dn[:, :, k - 1, None] * vt_dn[:, None, k - 1, :]
+        diff = (j_up - j_dn) / (2 * step)
+        # bump i of this column is vec column i + j*m; vec(J) reads J column-major
+        yield slice(j * m, (j + 1) * m), diff.transpose(2, 1, 0).reshape(m * n, m)
+
+
+def _fd_oracle(a: DenseMatrix, k: int, order: int, step: float) -> DenseMatrix:
+    m, n = a.shape
+    out = np.empty((m, n) if order == 1 else (m * n, m * n), order="F")
+    for cols, block in _fd_blocks(a, k, order, step):
+        out[:, cols] = block
+    return DenseMatrix(out)
+
+
+def fd_gradient_oracle(a: DenseMatrix, k: int, step: float = _FD_STEP[1]) -> DenseMatrix:
     """Entrywise central-difference estimate of d sigma_k / dA.
 
     Independent of the closed forms above; values are untrustworthy near
     singular-value crossings (the caller is expected to gate on the gap).
     """
-    m, n = a.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k} outside 1..min(m,n)={min(m, n)}")
-    out = np.empty((m, n))
-    for j, s_up, s_dn in _column_bumps(a, step, compute_uv=False):
-        out[:, j] = (s_up[:, k - 1] - s_dn[:, k - 1]) / (2 * step)
-    return DenseMatrix(out)
+    return _fd_oracle(a, k, 1, step)
 
 
-def fd_hessian_oracle(a: DenseMatrix, k: int, step: float = 1e-5) -> DenseMatrix:
+def fd_hessian_oracle(a: DenseMatrix, k: int, step: float = _FD_STEP[2]) -> DenseMatrix:
     """Central differences of the Jacobian u_k v_k^T, column by column in
     the column-major vec layout (mn x mn).
 
@@ -379,15 +418,21 @@ def fd_hessian_oracle(a: DenseMatrix, k: int, step: float = 1e-5) -> DenseMatrix
     exceeds its rank, DegenerateSpectrum when sigma_k is within
     GAP_TOL_REL * sigma_1 of another singular value.
     """
-    m, n = a.shape
-    out = np.empty((m * n, m * n), order="F")
-    for j, (u_up, s_up, vt_up), (u_dn, s_dn, vt_dn) in _column_bumps(a, step, compute_uv=True):
-        for pair in zip(s_up, s_dn):
-            for s in pair:
-                _require_simple(s, k, _numerical_rank(s))
-        j_up = u_up[:, :, k - 1, None] * vt_up[:, None, k - 1, :]
-        j_dn = u_dn[:, :, k - 1, None] * vt_dn[:, None, k - 1, :]
-        diff = (j_up - j_dn) / (2 * step)
-        # bump i of this column is vec column i + j*m; vec(J) reads J column-major
-        out[:, j * m : (j + 1) * m] = diff.transpose(2, 1, 0).reshape(m * n, m)
-    return DenseMatrix(out)
+    return _fd_oracle(a, k, 2, step)
+
+
+def fd_max_deviation(result: DenseMatrix, a: DenseMatrix, k: int, order: int,
+                     step: float | None = None) -> float:
+    """max |result - oracle| for the order-``order`` derivative ``result``
+    of sigma_k at A and its finite-difference oracle (with the oracle's
+    default step when none is given): the oracle's checks and values, one
+    column block at a time, so that besides ``result`` this holds
+    O(m (m + n)^2) where the oracle itself would be as large as
+    ``result``."""
+    dev, finite = 0.0, True
+    for cols, block in _fd_blocks(a, k, order, _FD_STEP[order] if step is None else step):
+        finite = finite and bool(np.isfinite(block).all())
+        dev = max(dev, float(np.max(np.abs(result.array[:, cols] - block))))
+    if not finite:  # as the assembled oracle, checked once every block has passed
+        raise ValueError("matrix entries must be finite")
+    return dev

@@ -1,12 +1,15 @@
+import contextlib
 import json
+import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lipkit import activations, matcore
+from lipkit import activations, matcore, svdcalc
 from lipkit.cli import build_parser, load_network_json, main
-from lipkit.matcore import DenseMatrix, load_matrix_csv, save_matrix_csv
+from lipkit.matcore import DenseMatrix, _fmt, full_svd, load_matrix_csv, save_matrix_csv
 
 
 def run(capsys, *argv):
@@ -100,12 +103,15 @@ class TestBound:
         code, out, err = run(capsys, *_network(tmp_path, doc), "--out", str(out_path))
         assert (code, out, err) == (2, "", f"error: {text}\n") and not out_path.exists()
 
-    def test_negative_zero_constant_gives_bound_zero(self, capsys, tmp_path):
-        # the path sum adds the one predecessor's S to 0, so -0.0 becomes 0
+    @pytest.mark.parametrize("method", ["product", "dag", "articulation"])
+    def test_negative_zero_constant_prints_no_negative_zero(self, capsys, tmp_path, method):
+        # a -0.0 constant is read as 0.0: no lip, S or bound prints as -0
         argv = _network(tmp_path, _net_with({"id": "a", "kind": "scalar_lip", "lip": -0.0}))
-        for method in ("product", "dag"):
-            code, out, _ = run(capsys, *argv, "--method", method)
-            assert code == 0 and out.startswith("bound = 0\n")
+        out_path = tmp_path / "lips.csv"
+        code, out, _ = run(capsys, *argv, "--method", method, "--out", str(out_path))
+        assert code == 0 and "\nbound = 0\n" in "\n" + out
+        for text in (out, out_path.read_text()):
+            assert "-0" not in re.split(r"[\s,=]", text)
 
     def test_articulation_method(self, capsys, figure_net):
         code, out, _ = run(capsys, "bound", "--net", figure_net, "--method", "articulation")
@@ -203,6 +209,40 @@ class TestSvdDeriv:
         assert dev_line.startswith("max_abs_deviation = ")
         assert (rows + "\n").encode() == out_path.read_bytes()
         assert len(rows.splitlines()) == (3 if order == "1" else 12)
+
+    @pytest.mark.parametrize("order, shape", [("1", (3, 4)), ("2", (3, 4)), ("2", (4, 3))])
+    def test_deviation_line_is_the_dense_maximum(self, capsys, tmp_path, order, shape):
+        # the CLI checks a column block at a time; the dense difference gives the same line
+        a = DenseMatrix(np.random.default_rng(4).standard_normal(shape))
+        mat_path = tmp_path / "m.csv"
+        save_matrix_csv(mat_path, a)
+        code, out, _ = run(capsys, "svd-deriv", "--matrix", str(mat_path), "--k", "1",
+                           "--order", order, "--check-fd")
+        svd = full_svd(load_matrix_csv(mat_path))
+        if order == "1":
+            diff = svdcalc.sv_jacobian(svd, 1).array - svdcalc.fd_gradient_oracle(a, 1).array
+        else:
+            diff = svdcalc.sv_hessian(svd, 1).array - svdcalc.fd_hessian_oracle(a, 1).array
+        assert code == 0
+        assert out.splitlines()[-1] == f"max_abs_deviation = {_fmt(np.max(np.abs(diff)))}"
+
+    def test_checked_hessian_peak_is_under_twice_h(self, tmp_path):
+        # the Hessian, its mask and one column block of the oracle; an
+        # assembled oracle and a dense difference would take it to 3.0x H
+        mat_path = tmp_path / "m.csv"
+        save_matrix_csv(mat_path, DenseMatrix(np.random.default_rng(5).standard_normal((30, 30))))
+        argv = ["svd-deriv", "--matrix", str(mat_path), "--k", "1", "--order", "2",
+                "--check-fd", "--out", str(tmp_path / "h.csv")]
+        h_bytes = 8 * 900**2
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.7 * h_bytes, f"tracemalloc peak {peak / h_bytes:.2f} times H"
 
     def test_oversized_hessian_refused_before_allocation(self, capsys, tmp_path, monkeypatch):
         from lipkit import cli, svdcalc

@@ -272,6 +272,14 @@ class TestNodeLipschitz:
         nl = node_lipschitz(g, "t")
         assert nl.lip == 0.7 and nl.provenance == "user_supplied"
 
+    def test_negative_zero_constant_is_positive_zero(self):
+        # from the Python API as from a network file: -0.0 would print as -0
+        g = scalar_graph({"t": -0.0}, [("s", "t")], "s", "t")
+        assert math.copysign(1.0, node_lipschitz(g, "t").lip) == 1.0
+        doc = {"nodes": [{"id": "s", "kind": "input"}, {"id": "t", "kind": "scalar_lip", "lip": -0.0}],
+               "edges": [["s", "t"]]}
+        assert math.copysign(1.0, netbounds.graph_from_doc(doc).node("t").lip) == 1.0
+
     def test_residual_node(self):
         g = NetworkGraph(
             [Node("s", "input"), Node("r", "residual_group", inner_lip=0.5)],

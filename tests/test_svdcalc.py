@@ -13,6 +13,7 @@ from lipkit.svdcalc import (
     check_hessian_budget,
     fd_gradient_oracle,
     fd_hessian_oracle,
+    fd_max_deviation,
     jordan_wielandt,
     reduced_resolvent,
     sv_expansion_coeff,
@@ -197,6 +198,21 @@ class TestMatrixFreeHessian:
         assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("k", [1, 2])
+    def test_dense_is_the_half_sum_of_its_columns_bit_for_bit(self, contraction_case, k):
+        # the columns C from the batched Hessian step, then (C + C^T)/2 in a
+        # new array: the in-place symmetrization gives the same bytes
+        svd = contraction_case
+        m, n, d = svd.rows, svd.cols, svd.rows * svd.cols
+        uk, vk = svd.u(k), svd.v(k)
+        f, g = svdcalc._hessian_step(svd, k)(np.kron(vk[:, None], np.eye(m)),
+                                             np.kron(np.eye(n), uk[:, None]))
+        ct = (f[:, None, :] * vk[:, None] + g[:, :, None] * uk).reshape(d, d)
+        ref = (ct + ct.T) * 0.5
+        h = sv_hessian(svd, k).array
+        assert np.array_equal(h, ref)
+        assert h.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
     def test_contract_equals_dense_inner_product(self, contraction_case, rng, k):
         svd = contraction_case
         d = svd.rows * svd.cols
@@ -266,11 +282,12 @@ class TestHessianMemory:
         peak = traced_peak(sv_hessian_contract, svd, 1, sigma)
         assert peak < sigma.nbytes, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
-    def test_dense_peak_is_about_twice_h(self, rng):
-        svd = full_svd(DenseMatrix(rng.standard_normal((24, 24))))
-        h_bytes = 8 * (24 * 24) ** 2
+    def test_dense_peak_is_h_and_its_mask(self, rng):
+        # H is symmetrized in its columns' buffer: no second array of H's size
+        svd = full_svd(DenseMatrix(rng.standard_normal((30, 30))))
+        h_bytes = 8 * (30 * 30) ** 2
         peak = traced_peak(sv_hessian, svd, 1)
-        assert peak <= 2.3 * h_bytes, f"tracemalloc peak {peak / h_bytes:.2f} times H"
+        assert peak <= 1.3 * h_bytes, f"tracemalloc peak {peak / h_bytes:.2f} times H"
 
 
 class TestHessianBudget:
@@ -319,6 +336,49 @@ class TestFdHessianOracle:
     def test_step_positive(self):
         with pytest.raises(ValueError):
             fd_hessian_oracle(DenseMatrix(np.diag([2.0, 1.0])), 1, 0.0)
+        with pytest.raises(ValueError, match="^step must be positive"):
+            fd_max_deviation(DenseMatrix(np.eye(4)), DenseMatrix(np.diag([2.0, 1.0])), 1, 2, 0.0)
+
+
+class TestFdMaxDeviation:
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_equals_the_dense_maximum(self, rng, shape):
+        a = DenseMatrix(rng.standard_normal(shape))
+        svd = full_svd(a)
+        for k in (1, 2, 3):
+            for order, result, oracle in ((1, sv_jacobian(svd, k), fd_gradient_oracle),
+                                          (2, sv_hessian(svd, k), fd_hessian_oracle)):
+                for step in ({}, {"step": 1e-4}):
+                    dense = np.max(np.abs(result.array - oracle(a, k, **step).array))
+                    assert fd_max_deviation(result, a, k, order, **step) == dense
+
+    def test_same_refusals_as_the_oracles(self):
+        a = DenseMatrix(np.diag([1.0 + 1e-5, 1.0]))
+        h = sv_hessian(full_svd(a), 1)
+        with pytest.raises(DegenerateSpectrum):
+            fd_max_deviation(h, a, 1, 2, 1e-5)
+        with pytest.raises(ZeroSingular):
+            fd_max_deviation(h, DenseMatrix(np.diag([1.0, 0.0])), 2, 2)
+        with pytest.raises(ValueError, match=r"^k=3 outside 1..min\(m,n\)=2$"):
+            fd_max_deviation(DenseMatrix(np.eye(2)), a, 3, 1)
+
+    @pytest.mark.parametrize("later", [None, DegenerateSpectrum("gap", gap=0.0)],
+                             ids=["finite", "degenerate"])
+    def test_non_finite_block_refused_after_every_spectrum_check(self, monkeypatch, later):
+        # as by the assembled oracle's DenseMatrix: a later column's spectrum
+        # check raises first
+        def blocks(a, k, order, step):
+            yield slice(0, 1), np.array([[np.inf], [0.0]])
+            if later is not None:
+                raise later
+            yield slice(1, 2), np.zeros((2, 1))
+        monkeypatch.setattr(svdcalc, "_fd_blocks", blocks)
+        a = DenseMatrix(np.diag([2.0, 1.0]))
+        error, text = (ValueError, "^matrix entries must be finite$") if later is None else (
+            DegenerateSpectrum, "^gap$")
+        for fn in (lambda: fd_gradient_oracle(a, 1), lambda: fd_max_deviation(a, a, 1, 1)):
+            with pytest.raises(error, match=text):
+                fn()
 
 
 class TestFirstAndSecondOrderConsistency:
