@@ -92,8 +92,7 @@ def cmd_bound(args):
     per_node_s = None
     lines = []
     if args.method == "product":
-        chain = g.topo_order
-        bound = netbounds.product_bound(chain, g, lips=lips)
+        bound = netbounds.product_bound(g, lips=lips)
     elif args.method == "dag":
         res = netbounds.dag_bound(g, lips=lips)
         bound, per_node_s = res.bound, res.per_node_s

@@ -90,7 +90,7 @@ class UnknownNode(InvalidInput):
 
 
 class NotAPath(LipkitError):
-    """Node sequence is not a directed path of the graph."""
+    """Graph is not a chain."""
 
     exit_code = 3
 

@@ -38,7 +38,7 @@ class DenseMatrix:
         arr = np.asarray(self.array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # no array-sized mask
             raise ValueError("matrix entries must be finite")
         arr = np.asfortranarray(arr)
         arr.flags.writeable = False

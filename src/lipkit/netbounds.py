@@ -177,6 +177,14 @@ def _data_arrays(obj):
     return obj
 
 
+def _reads(obj, keys, where, what, error=GraphInvalid):
+    """``error`` naming ``where``, ``what`` and the first key of ``obj`` not in
+    ``keys``, which would otherwise be ignored and the bound printed without it."""
+    for key in obj:
+        if key not in keys:
+            raise error(f"{where}: {what} does not read {key!r}")
+
+
 def _pair(value, where, field):
     if not (isinstance(value, list) and len(value) == 2):
         raise GraphInvalid(f"{where}: each of {field!r} must be a pair, got {value!r}")
@@ -190,10 +198,8 @@ def _activation(value, where):
         if "name" not in value:
             raise GraphInvalid(f"{where}: activation object needs a 'name'")
         name = value["name"]
-        for field in value:
-            # an unknown name is left to make_activation, which refuses it
-            if field != "name" and name in NAMES and field not in PARAMS.get(name, ()):
-                raise GraphInvalid(f"{where}: activation {name!r} does not read {field!r}")
+        if name in NAMES:  # an unknown name is left to make_activation, which refuses it
+            _reads(value, ("name", *PARAMS.get(name, ())), where, f"activation {name!r}")
         return make_activation(name, alpha=_typed(value.get("alpha", 1.0), float, where, "alpha"),
                                dim=_typed(value.get("dim", 0), int, where, "dim"))
     raise GraphInvalid(f"{where}: activation must be a name or object")
@@ -203,7 +209,8 @@ def graph_from_doc(doc) -> NetworkGraph:
     """Build the graph of a decoded network JSON document (format in the
     README). Malformed content raises GraphInvalid naming the node or
     matrix and the field; a directed cycle raises CycleDetected."""
-    _typed(doc, dict, "network", "document")
+    _reads(_typed(doc, dict, "network", "document"),
+           ("nodes", "edges", "matrices", "source", "sink"), "network", "the document")
     matrices = {}
     for ref, spec in _typed(doc.get("matrices") or {}, dict, "network", "matrices").items():
         where = f"matrix {ref!r}"
@@ -211,6 +218,7 @@ def graph_from_doc(doc) -> NetworkGraph:
         for key in ("rows", "cols", "data"):
             if key not in spec:
                 raise GraphInvalid(f"{where}: missing field {key!r}")
+        _reads(spec, ("rows", "cols", "data"), where, "the matrix")
         rows, cols = (_typed(spec[key], int, where, key) for key in ("rows", "cols"))
         data = spec["data"]
         if not _decoded(data):
@@ -243,9 +251,8 @@ def graph_from_doc(doc) -> NetworkGraph:
             attention = kwargs["attention_kind"] = entry.get("attention_kind")
             kwargs["attention_params"] = _attention_params(
                 attention, entry.get("params") or {}, where, matrices)
-        for key in entry:  # NODE_KINDS is a tuple, so an unhashable kind is simply not in it
-            if kind in NODE_KINDS and key not in ("id", "kind", *_NODE_FIELDS[kind]):
-                raise GraphInvalid(f"{where}: kind {kind!r} does not read {key!r}")
+        if kind in NODE_KINDS:  # a tuple, so an unhashable kind is simply not in it
+            _reads(entry, ("id", "kind", *_NODE_FIELDS[kind]), where, f"kind {kind!r}")
         nodes.append(Node(id=nid, kind=kind, **kwargs))
 
     edges = [
@@ -312,22 +319,14 @@ def all_node_lips(
     return lips
 
 
-def product_bound(chain, g: NetworkGraph, lips=None) -> float:
-    """Product of node constants along ``chain``, a directed path that is
-    the whole graph: the path-sum pass's S(sink), the sum over its one path.
-    Any other edge (a skip edge, a branch) adds paths the product does not
-    bound, and raises NotAPath naming it."""
-    chain = list(chain)
-    if not chain:
-        raise NotAPath("empty chain")
-    for nid in chain:
-        g.node(nid)
-    for u, v in zip(chain, chain[1:]):
-        if not g.digraph.has_edge(u, v):
-            raise NotAPath(f"missing edge ({u!r} -> {v!r})")
-    links = set(zip(chain, chain[1:]))
+def product_bound(g: NetworkGraph, lips=None) -> float:
+    """Product of node constants along the chain ``g``: the path-sum pass's
+    S(sink). With one source and one sink, ``g`` is a chain exactly when each
+    edge joins consecutive topological nodes; any other edge (a skip edge, a
+    branch) adds paths the product does not bound, and raises NotAPath."""
+    position = {nid: i for i, nid in enumerate(g.topo_order)}
     for u, v in g.digraph.edges:
-        if (u, v) not in links:
+        if position[v] != position[u] + 1:
             raise NotAPath(f"edge ({u!r} -> {v!r}) does not join consecutive chain nodes")
     return _path_sums(g, lips or all_node_lips(g), restart=False)[0]
 
@@ -483,9 +482,8 @@ def _attention_params(kind, params, where=None, matrices=()):
                             f"{', '.join(ATTENTION_PARAMS)}, got {kind!r}")
     where = where or kind
     hu = kind == "hu_local"
-    for key in _typed(params, dict, where, "params", InvalidParams):
-        if key not in table:
-            raise InvalidParams(f"{where}: attention {kind!r} does not read {key!r}")
+    _reads(_typed(params, dict, where, "params", InvalidParams), table, where,
+           f"attention {kind!r}", InvalidParams)
     if hu and ("x" in params) == ("x_norm" in params):
         raise InvalidParams(f"{where}: hu_local reads exactly one of 'x_norm' and 'x'")
     for key in table:

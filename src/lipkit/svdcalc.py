@@ -52,9 +52,9 @@ def check_hessian_budget(rows: int, cols: int):
     before anything of that size is allocated.
 
     The limit covers H, and the peak is little more: :func:`sv_hessian`
-    forms H in the buffer of its columns (with a finiteness mask of 1/8 of
-    H), and :func:`fd_max_deviation` holds H plus O(m (m + n)^2) for one
-    column block of the oracle at a time. :func:`sv_hessian` itself does
+    forms H in the buffer of its columns (1.17x H at 30x30), and
+    :func:`fd_max_deviation` holds H plus O(m (m + n)^2) for one column
+    block of the oracle at a time. :func:`sv_hessian` itself does
     not call this.
     """
     nbytes = 8 * (rows * cols) ** 2
@@ -127,10 +127,9 @@ def sv_hessian(svd: SvdTriple, k: int) -> DenseMatrix:
 
     The Hessian step of each basis matrix E_c = e_i e_j^T (c = i + j*m) gives
     the column C_c = H vec(E_c); H = (C + C^T)/2 is exactly symmetric and is
-    formed in C's own buffer. H costs 8 (mn)^2 bytes, and the peak is H,
-    DenseMatrix's (mn)^2-byte finiteness mask and O(mn (m + n)); for
-    <H, Sigma> or H vec(E) use :func:`sv_hessian_contract` or
-    :func:`sv_hessian_apply`.
+    formed in C's own buffer. H costs 8 (mn)^2 bytes, and the peak is H
+    and O(mn (m + n)), 1.17x H at 30x30; for <H, Sigma> or H vec(E) use
+    :func:`sv_hessian_contract` or :func:`sv_hessian_apply`.
     """
     step = _hessian_step(svd, k)
     m, n, d = svd.rows, svd.cols, svd.rows * svd.cols

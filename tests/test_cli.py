@@ -103,6 +103,20 @@ class TestBound:
         code, out, err = run(capsys, *_network(tmp_path, doc), "--out", str(out_path))
         assert (code, out, err) == (2, "", f"error: {text}\n") and not out_path.exists()
 
+    @pytest.mark.parametrize("top, matrix, text", [
+        ({"sorce": "in"}, {}, "network: the document does not read 'sorce'"),
+        ({}, {"scale": 10}, "matrix 'w': the matrix does not read 'scale'"),
+    ], ids=["document", "matrix"])
+    def test_document_or_matrix_key_not_read_exits_2(self, capsys, tmp_path, top, matrix, text):
+        # each printed bound = 1 with exit 0: the identity w was read without
+        # its "scale": 10, and the misspelt "sorce" was not read at all
+        doc = _net_with({"id": "l", "kind": "linear", "weight_ref": "w"})
+        doc.update(top)
+        doc["matrices"]["w"].update(matrix)
+        out_path = tmp_path / "lips.csv"
+        code, out, err = run(capsys, *_network(tmp_path, doc), "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"error: {text}\n") and not out_path.exists()
+
     @pytest.mark.parametrize("method", ["product", "dag", "articulation"])
     def test_negative_zero_constant_prints_no_negative_zero(self, capsys, tmp_path, method):
         # a -0.0 constant is read as 0.0: no lip, S or bound prints as -0

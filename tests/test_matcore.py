@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,18 @@ class TestDenseMatrix:
     def test_rejects_wrong_flat_length(self):
         with pytest.raises(ValueError):
             DenseMatrix.from_flat(2, 2, [1.0, 2.0, 3.0])
+
+    def test_finiteness_check_allocates_no_mask(self):
+        # an F-ordered array is kept as it is; np.isfinite(arr) alone takes n^2 bytes
+        n = 1000
+        arr = np.asfortranarray(np.random.default_rng(0).standard_normal((n, n)))
+        tracemalloc.start()
+        try:
+            DenseMatrix(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 2
 
     def test_immutable(self):
         m = DenseMatrix(np.eye(2))

@@ -224,6 +224,18 @@ class TestGraphFromDoc:
             netbounds.graph_from_doc(doc)
         assert str(info.value) == f"node 'a': kind {node['kind']!r} does not read {key!r}"
 
+    @pytest.mark.parametrize("top, matrix, text", [
+        ({"sorce": "in"}, {}, "network: the document does not read 'sorce'"),
+        ({}, {"scale": 10}, "matrix 'w': the matrix does not read 'scale'"),
+    ], ids=["document", "matrix"])
+    def test_document_or_matrix_key_not_read_refused(self, top, matrix, text):
+        # a matrix read without its "scale": 10 would bound a tenth of the map
+        doc = {**self._doc("relu"), **top}
+        doc["matrices"] = {"w": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1], **matrix}}
+        with pytest.raises(GraphInvalid) as info:
+            netbounds.graph_from_doc(doc)
+        assert str(info.value) == text
+
     @pytest.mark.parametrize("kind", ["conv", ["activation"], {"k": 1}])
     def test_unknown_kind_refused_before_its_keys(self, kind):
         doc = self._doc("relu")
@@ -313,13 +325,13 @@ class TestProductBound:
         g = scalar_graph(
             {"a": 2.0, "b": 0.5, "c": 3.0}, [("s", "a"), ("a", "b"), ("b", "c")], "s", "c"
         )
-        assert product_bound(["s", "a", "b", "c"], g) == 3.0
+        assert product_bound(g) == 3.0
 
     def test_all_ones_chain(self):
         lips = {f"n{i}": 1.0 for i in range(10)}
         edges = [("s", "n0")] + [(f"n{i}", f"n{i+1}") for i in range(9)]
         g = scalar_graph(lips, edges, "s", "n9")
-        assert product_bound(["s"] + [f"n{i}" for i in range(10)], g) == 1.0
+        assert product_bound(g) == 1.0
 
     def test_dense_relu_dense(self):
         mats = {
@@ -337,23 +349,26 @@ class TestProductBound:
         expect = 1.0
         for nid in ("s", "l1", "r", "l2"):
             expect *= node_lipschitz(g, nid).lip
-        assert product_bound(["s", "l1", "r", "l2"], g) == pytest.approx(expect)
+        assert product_bound(g) == pytest.approx(expect)
         assert expect == pytest.approx(6.0)
 
     def test_not_a_path(self):
         g = figure_graph()
         with pytest.raises(NotAPath):
-            product_bound(["s", "v"], g)
+            product_bound(g)
 
-    @pytest.mark.parametrize("chain", [["s", "a", "m", "t"], ["s", "a", "m"]])
-    def test_an_edge_off_the_chain_is_refused_by_name(self, chain):
-        # a residual block: the skip edge s -> m adds the path s, m, t, so the
-        # path sum is 2 and the product of the chain, 1, bounds nothing
-        g = scalar_graph({"a": 1.0, "m": 1.0, "t": 1.0},
-                         [("s", "a"), ("a", "m"), ("s", "m"), ("m", "t")], "s", "t")
+    @pytest.mark.parametrize("edges, edge", [
+        # a residual block: the skip edge s -> m adds the path s, m, t
+        ([("s", "a"), ("a", "m"), ("s", "m"), ("m", "t")], "'s' -> 'm'"),
+        # a diamond: the branch at s gives the paths s, a, t and s, b, t
+        ([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")], "'s' -> '[ab]'"),
+    ], ids=["chain0", "chain1"])
+    def test_an_edge_off_the_chain_is_refused_by_name(self, edges, edge):
+        # either way the path sum is 2, and no chain's product, 1, bounds it
+        g = scalar_graph(dict.fromkeys({v for _, v in edges}, 1.0), edges, "s", "t")
         assert dag_bound(g).bound == articulation_bound(g).bound == 2.0
-        with pytest.raises(NotAPath, match=r"edge \('s' -> 'm'\) does not join consecutive"):
-            product_bound(chain, g)
+        with pytest.raises(NotAPath, match=rf"edge \({edge}\) does not join consecutive"):
+            product_bound(g)
 
 
 class TestDagBound:
@@ -364,7 +379,7 @@ class TestDagBound:
         g = scalar_graph(
             {"a": 2.0, "b": 0.5, "c": 3.0}, [("s", "a"), ("a", "b"), ("b", "c")], "s", "c"
         )
-        assert dag_bound(g).bound == product_bound(["s", "a", "b", "c"], g)
+        assert dag_bound(g).bound == product_bound(g)
 
     def test_random_dags_match_enumeration_exactly(self):
         rng = np.random.default_rng(17)
@@ -416,7 +431,7 @@ class TestSourceConstant:
             g = NetworkGraph([Node(nid, "scalar_lip", lip=val) for nid, val in lips.items()],
                              list(zip(ids, ids[1:])), source="s", sink="t")
             expect = lips["s"] * enumerate_path_sum(ids, list(zip(ids, ids[1:])), lips, "s", "t")
-            assert product_bound(ids, g) == dag_bound(g).bound == expect
+            assert product_bound(g) == dag_bound(g).bound == expect
             assert articulation_bound(g).bound == expect
 
     def test_linear_source(self):
@@ -425,7 +440,7 @@ class TestSourceConstant:
             [("w", "a")],
             matrices={"w": DenseMatrix(np.diag([3.0, 1.0]))},
         )
-        assert product_bound(["w", "a"], g) == dag_bound(g).bound == 3.0
+        assert product_bound(g) == dag_bound(g).bound == 3.0
         res = articulation_bound(g)
         assert res.bound == 3.0 and res.subdag_bounds == [3.0]
 
@@ -445,18 +460,36 @@ def test_product_on_a_chain_is_the_path_sum_pass(lips):
     ids = [f"n{i}" for i in range(len(lips))]
     g = NetworkGraph([Node(nid, "scalar_lip", lip=val) for nid, val in zip(ids, lips)],
                      list(zip(ids, ids[1:])))
-    product = _hex_or_error(lambda: product_bound(ids, g))
+    product = _hex_or_error(lambda: product_bound(g))
     assert product == _hex_or_error(lambda: dag_bound(g).bound)
     expect = math.prod(lips)
     assert product == (expect.hex() if not math.isnan(expect) else
                        "bound is nan: a product of node constants overflowed and met 0")
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(3, 10))
+@example(0, 3)  # s -> n0 -> t and s -> t
+@example(28, 5)  # the chain s -> n0 -> n1 -> t
+def test_product_bound_is_the_path_sum_exactly_on_chains(seed, max_nodes):
+    # with one source and one sink, a graph is a chain exactly when no node
+    # has two successors; any other graph is refused by an edge it has
+    g, _ = random_dag(np.random.default_rng(seed), max_nodes)
+    branches = any(g.digraph.out_degree(nid) > 1 for nid in g.nodes)
+    try:
+        bound = product_bound(g)
+    except NotAPath as exc:
+        named = re.fullmatch(r"edge \('(.+)' -> '(.+)'\) does not join consecutive chain nodes",
+                             str(exc))
+        assert branches and named and g.digraph.has_edge(*named.groups())
+    else:
+        assert not branches and bound.hex() == dag_bound(g).bound.hex()
+
+
 _CHAIN = [("s", "a"), ("a", "b"), ("b", "c")]
 
 
 @pytest.mark.parametrize("bound, edges", [
-    (lambda g: product_bound(["s", "a", "b", "c"], g), _CHAIN),
+    (product_bound, _CHAIN),
     (lambda g: dag_bound(g).bound, _CHAIN + [("s", "c")]),
     (lambda g: articulation_bound(g).bound, _CHAIN + [("s", "c")]),
 ], ids=["product", "dag", "articulation"])
